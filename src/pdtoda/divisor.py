@@ -37,7 +37,7 @@ import numpy as np
 
 from .bilaurent import BiLaurent
 from .errors import NonGenericDataError, PdTodaError
-from .lax import SpectralData, spectral_data, transfer_matrix
+from .lax import SpectralData, char_poly, spectral_data, transfer_matrix
 from .lmatrix import LaurentMatrix, antitranspose, det, minor_signed, resultant_y
 from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
@@ -117,6 +117,14 @@ def minor_resultant(phi_cleared: BiLaurent, minor: BiLaurent) -> UniPoly:
     return stripped
 
 
+def _corner_resultants(X: LaurentMatrix, phi_cleared: BiLaurent, N: int):
+    """R = res_y(phi, y D_NN) and S = res_y(phi, y D_1N) of X - xE, each
+    x-content stripped."""
+    R = minor_resultant(phi_cleared, corner_minor(X, N, N))
+    S = minor_resultant(phi_cleared, corner_minor(X, 1, N))
+    return R, S
+
+
 def compute_R_S(state_or_matrix, N: int | None = None, M: int | None = None, g: int | None = None):
     """The two corner resultants (R, S) of an operator, x-content stripped.
 
@@ -124,19 +132,15 @@ def compute_R_S(state_or_matrix, N: int | None = None, M: int | None = None, g: 
     """
     if isinstance(state_or_matrix, TodaState):
         require_valid(state_or_matrix)
-        sd = spectral_data(state_or_matrix)
         X = transfer_matrix(state_or_matrix)
-        N, M, g = sd.N, sd.M, sd.g
-        phi = sd.phi_cleared
+        sd = char_poly(X, state_or_matrix.N, state_or_matrix.M)
+        N, g = sd.N, sd.g
     else:
         X = state_or_matrix
         if N is None or M is None or g is None:
             raise PdTodaError("matrix input needs explicit N, M, g")
-        from .lax import char_poly
-
-        phi = char_poly(X, N, M).phi_cleared
-    R = minor_resultant(phi, corner_minor(X, N, N))
-    S = minor_resultant(phi, corner_minor(X, 1, N))
+        sd = char_poly(X, N, M)
+    R, S = _corner_resultants(X, sd.phi_cleared, N)
     for name, poly in (("R", R), ("S", S)):
         if poly.degree != 2 * g:
             raise NonGenericDataError(
@@ -170,15 +174,14 @@ class DivisorPoly:
 def divisor_poly(state: TodaState, variant: str = "X") -> DivisorPoly:
     """U = gcd_monic(R, S) for the chosen operator; monic of degree g."""
     require_valid(state)
-    sd = spectral_data(state)
+    X = transfer_matrix(state)
+    sd = char_poly(X, state.N, state.M)
     g = sd.g
     if g == 0:
         return DivisorPoly(poly=UniPoly.one(), t=state.t, variant=variant)
-    X = operator_matrix(state, variant)
-    phi = sd.phi_cleared
-    R = minor_resultant(phi, corner_minor(X, sd.N, sd.N))
-    S = minor_resultant(phi, corner_minor(X, 1, sd.N))
-    ups = gcd_monic(R, S)
+    if variant != "X":
+        X = operator_matrix(state, variant)
+    ups = gcd_monic(*_corner_resultants(X, sd.phi_cleared, sd.N))
     if ups.degree != g:
         raise NonGenericDataError(
             f"gcd degree {ups.degree} != genus {g} for variant {variant}"

@@ -14,18 +14,24 @@ Resultants are Sylvester-matrix determinants.  The convention is
 
 equivalently the determinant of the Sylvester matrix whose first deg(q)
 rows carry the coefficients of p.  For speed the determinant in y with
-x-polynomial entries is computed by evaluation at integer points followed
-by exact interpolation; a direct expansion is kept for cross-checking.
+x-polynomial entries is computed over the integers (Collins' evaluation
+scheme): denominators are cleared once, the integer Sylvester matrix is
+evaluated at x = 0, 1, ..., its determinants are taken by fraction-free
+Bareiss elimination with exact integer division, and the samples are
+interpolated by integer forward differences.  Every step is exact, so no
+moduli or coefficient bounds are involved.  A direct expansion over
+x-polynomials is kept as the test oracle.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Callable, Sequence
 
 from .bilaurent import BiLaurent
 from .errors import DimensionError, PdTodaError
-from .rationals import ONE, ZERO, as_q
-from .unipoly import UniPoly, lagrange_interpolate
+from .rationals import Q
+from .unipoly import UniPoly
 
 
 class LaurentMatrix:
@@ -270,8 +276,9 @@ def _y_poly(p: BiLaurent):
     return [degs.get(j, UniPoly()) for j in range(top + 1)]
 
 
-def _sylvester(pc, qc):
-    """Sylvester matrix rows (UniPoly entries) for coefficient lists in y."""
+def _sylvester(pc, qc, zero):
+    """Sylvester matrix rows for coefficient lists in y (lowest degree
+    first); ``zero`` fills the band's outside."""
     dp = len(pc) - 1
     dq = len(qc) - 1
     n = dp + dq
@@ -279,18 +286,20 @@ def _sylvester(pc, qc):
     prow = list(reversed(pc))  # descending degree
     qrow = list(reversed(qc))
     for k in range(dq):
-        rows.append([UniPoly()] * k + prow + [UniPoly()] * (n - dp - 1 - k))
+        rows.append([zero] * k + prow + [zero] * (n - dp - 1 - k))
     for k in range(dp):
-        rows.append([UniPoly()] * k + qrow + [UniPoly()] * (n - dq - 1 - k))
+        rows.append([zero] * k + qrow + [zero] * (n - dq - 1 - k))
     return rows
 
 
 def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     """Resultant in y of two polynomials with nonnegative y-degrees.
 
-    Computed as the Sylvester determinant via evaluation at integer x and
-    exact interpolation; equals lead(p)^deg(q) * prod_i q(y_i) over the
-    y-roots of p.
+    Equals lead(p)^deg(q) * prod_i q(y_i) over the y-roots of p.  With
+    p = P / Dp and q = Q / Dq for integer polynomials P, Q, the Sylvester
+    determinant of (P, Q) is an integer polynomial in x of degree at most
+    the sum of the row degrees; it is sampled at that many + 1 integer
+    points and divided once by Dp^deg(q) * Dq^deg(p).
     """
     pc = _y_poly(p)
     qc = _y_poly(q)
@@ -300,19 +309,88 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     if dq == 0:
         return qc[0] ** dp
     if dp == 0:
-        sign = -1 if (dp * dq) % 2 else 1
-        out = pc[0] ** dq
-        return out if sign == 1 else -out
-    rows = _sylvester(pc, qc)
-    bound = sum(max(e.degree for e in row) for row in rows)
-    if bound <= 0:
-        return _det_bareiss(rows)
+        return pc[0] ** dq
+    pi, dp_den = _cleared(pc)
+    qi, dq_den = _cleared(qc)
+    # the sum of the row degrees: dq rows of p's coefficients, dp rows of q's
+    bound = dq * (max(len(c) for c in pi) - 1) + dp * (max(len(c) for c in qi) - 1)
     samples = []
     for s in range(bound + 1):
-        xs = as_q(s)
-        mat = [[e(xs) for e in row] for row in rows]
-        samples.append((xs, _scalar_det(mat)))
-    return lagrange_interpolate(samples)
+        rows = _sylvester([_eval_int(c, s) for c in pi], [_eval_int(c, s) for c in qi], 0)
+        samples.append(_int_det(rows))
+    den = dp_den ** dq * dq_den ** dp
+    return UniPoly(Q(c, den) for c in _int_interpolate(samples))
+
+
+def _cleared(coeffs):
+    """Integer coefficient lists (lowest x-degree first) of a list of
+    UniPoly with rational coefficients, and the common denominator D that
+    was multiplied through."""
+    # a list, not a generator: see unipoly._primitive_int
+    den = lcm(*[int(a.denominator) for c in coeffs for a in c.coeffs])
+    return [[int(a.numerator) * (den // int(a.denominator)) for a in c.coeffs] for c in coeffs], den
+
+
+def _eval_int(coeffs, x: int) -> int:
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _int_det(a) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix; every
+    division is exact by the Bareiss identity."""
+    n = len(a)
+    a = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _int_interpolate(values) -> list:
+    """Integer coefficients (lowest degree first) of the polynomial f with
+    f(k) = values[k] for k = 0..n-1, assuming f has integer coefficients.
+
+    Newton's forward differences: f(x) = sum_k (Delta^k f(0) / k!) x^(k),
+    with x^(k) = x (x - 1) ... (x - k + 1) the falling factorial; the
+    divisions by k! are exact for integer polynomials.  The falling
+    factorial form is then expanded by Horner's rule in the nodes.
+    """
+    diffs = list(values)
+    newton = []
+    fact = 1
+    for k in range(len(diffs)):
+        if k:
+            fact *= k
+        newton.append(diffs[0] // fact)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    out = []
+    for k in range(len(newton) - 1, -1, -1):
+        # out <- out * (x - k) + newton[k]
+        shifted = [0] + out
+        for i, c in enumerate(out):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        out = shifted
+    return out
 
 
 def resultant_y_direct(p: BiLaurent, q: BiLaurent) -> UniPoly:
@@ -325,7 +403,7 @@ def resultant_y_direct(p: BiLaurent, q: BiLaurent) -> UniPoly:
         return qc[0] ** (len(pc) - 1)
     if len(pc) == 1:
         return pc[0] ** (len(qc) - 1)
-    return _det_bareiss(_sylvester(pc, qc))
+    return _det_bareiss(_sylvester(pc, qc, UniPoly()))
 
 
 def resultant_x(p: BiLaurent, q: BiLaurent) -> BiLaurent:
@@ -344,32 +422,3 @@ def _swap_vars(p: BiLaurent) -> BiLaurent:
     if any(j < 0 for _, j in p.terms):
         p = p.clear_y()
     return BiLaurent({(j, i): c for (i, j), c in p.terms.items()})
-
-
-def _scalar_det(mat):
-    """Gaussian elimination over the rationals with partial pivot by nonzero."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    sign = 1
-    out = ONE
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        pk = a[k][k]
-        out *= pk
-        inv = 1 / pk
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor != 0:
-                for j in range(k + 1, n):
-                    a[i][j] -= factor * a[k][j]
-        # entries left of the pivot are no longer read
-    return out if sign == 1 else -out

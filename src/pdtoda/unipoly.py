@@ -2,12 +2,16 @@
 
 Coefficients are stored lowest degree first; the invariant is that the
 highest stored coefficient is nonzero, with the empty tuple representing
-the zero polynomial.  Everything here is exact except :func:`roots_numeric`,
-which is the single deliberately floating-point routine (reporting only).
+the zero polynomial.  Everything here is exact except :func:`roots_numeric`
+and its check :func:`root_residual`, the deliberately floating-point
+routines (reporting only).  The gcd works modulo word-size primes but
+certifies its result exactly in Z[x].
 """
 
 from __future__ import annotations
 
+from itertools import count
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,13 +91,13 @@ class UniPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly(-c for c in self.coeffs)
 
     def __add__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             other = UniPoly.const(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        return UniPoly(self.coeff(k) + other.coeff(k) for k in range(n))
 
     __radd__ = __add__
 
@@ -101,12 +105,12 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             other = UniPoly.const(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
+        return UniPoly(self.coeff(k) - other.coeff(k) for k in range(n))
 
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             c = as_q(other)
-            return UniPoly(tuple(a * c for a in self.coeffs))
+            return UniPoly(a * c for a in self.coeffs)
         if not self.coeffs or not other.coeffs:
             return UniPoly()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -164,7 +168,7 @@ class UniPoly:
         if self.is_zero():
             return self
         inv = 1 / self.lead
-        return UniPoly(tuple(c * inv for c in self.coeffs))
+        return UniPoly(c * inv for c in self.coeffs)
 
     def strip_x_power(self):
         """Factor out the largest x**k: return (k, self / x**k)."""
@@ -176,7 +180,7 @@ class UniPoly:
         return k, UniPoly(self.coeffs[k:])
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, value):
         """Horner evaluation; exact for rationals, float/complex otherwise."""
@@ -197,7 +201,59 @@ class UniPoly:
 
 
 def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic exact gcd by the Euclidean algorithm over the rationals."""
+    """Monic exact gcd over the rationals, by Brown's multimodular algorithm.
+
+    Both arguments are replaced by their primitive integer images P and Q.
+    For each prime l of :func:`_prime` not dividing gamma = gcd(lead P,
+    lead Q), the monic gcd of P and Q mod l is scaled by gamma; images of
+    too high degree come from unlucky primes and are dropped, and the
+    rest are combined by the Chinese remainder theorem in symmetric
+    residues.  Once an additional prime leaves the combined image
+    unchanged, its primitive part H is accepted only if it divides both P
+    and Q exactly in Z[x]; by Gauss's lemma H is then the gcd, returned
+    monic.  A gcd of degree 0 mod one admissible prime is a certificate of
+    coprimality.
+    """
+    if p.is_zero() and q.is_zero():
+        raise PdTodaError("gcd(0, 0) is undefined")
+    if p.is_zero() or q.is_zero():
+        return (p or q).monic()
+    if p.degree == 0 or q.degree == 0:
+        return UniPoly.one()
+    a = _primitive_int(p)
+    b = _primitive_int(q)
+    gamma = gcd(a[-1], b[-1])
+    length = min(len(a), len(b)) + 1  # coefficient count, above any gcd's
+    image, modulus = None, 1
+    for index in count():
+        prime = _prime(index)
+        if gamma % prime == 0:
+            continue
+        g = _gcd_mod([c % prime for c in a], [c % prime for c in b], prime)
+        if len(g) == 1:
+            return UniPoly.one()
+        if len(g) > length:
+            continue  # unlucky prime
+        scale = gamma % prime
+        g = [c * scale % prime for c in g]
+        if len(g) < length:  # every earlier prime was unlucky
+            length, image, modulus = len(g), _symmetric(g, prime), prime
+            continue
+        combined = _crt(image, modulus, g, prime)
+        modulus *= prime
+        if combined != image:
+            image = combined
+            continue
+        content = gcd(*image)
+        h = [c // content for c in image]
+        if _divides_int(h, a) and _divides_int(h, b):
+            lead = h[-1]
+            return UniPoly(Q(c, lead) for c in h)
+
+
+def gcd_monic_euclid(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd by the Euclidean algorithm over the rationals; the test
+    oracle for :func:`gcd_monic`."""
     if p.is_zero() and q.is_zero():
         raise PdTodaError("gcd(0, 0) is undefined")
     a, b = p, q
@@ -207,24 +263,132 @@ def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def lagrange_interpolate(points) -> UniPoly:
-    """Exact polynomial through ``points = [(x_i, y_i)]`` with distinct x_i.
+#: primes below 2**62 in descending order, extended on demand by _prime
+_PRIMES: list = []
+#: Miller-Rabin bases that decide primality of every n < 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    Newton's divided differences; cost O(n^2) rational operations.
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3e24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(index: int) -> int:
+    """The index-th prime below 2**62, counting down; the table is built
+    lazily so that importing the module costs nothing."""
+    while len(_PRIMES) <= index:
+        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(n):
+            n -= 2
+        _PRIMES.append(n)
+    return _PRIMES[index]
+
+
+def _primitive_int(p: UniPoly) -> list:
+    """Integer coefficients of p scaled to content 1 and positive lead."""
+    # star-arguments from a list, not a generator: CPython collects a
+    # generator into a resized 10-slot tuple, and on every call that strands
+    # memory in the free list of another tuple size
+    den = lcm(*[int(c.denominator) for c in p.coeffs])
+    ints = [int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs]
+    content = gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
+def _gcd_mod(a: list, b: list, prime: int) -> list:
+    """Monic gcd of two nonzero coefficient lists (lowest degree first)
+    modulo a prime; the inputs' trailing zeros mod the prime are
+    trimmed first."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = pow(b[-1], -1, prime)
+        db = len(b) - 1
+        r = a[:]
+        for k in range(len(r) - 1, db - 1, -1):
+            c = r[k] * inv % prime
+            if c:
+                off = k - db
+                for j in range(db):
+                    r[off + j] = (r[off + j] - c * b[j]) % prime
+        a, b = b, _trim(r[:db])
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _symmetric(cs: list, modulus: int) -> list:
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in cs]
+
+
+def _crt(image: list, modulus: int, residues: list, prime: int) -> list:
+    """Combine symmetric residues mod ``modulus`` with residues mod
+    ``prime`` into symmetric residues mod their product."""
+    inv = pow(modulus % prime, -1, prime)
+    product = modulus * prime
+    out = [h + modulus * ((r - h) * inv % prime) for h, r in zip(image, residues)]
+    return _symmetric(out, product)
+
+
+def _divides_int(h: list, a: list) -> bool:
+    """Whether h divides a exactly in Z[x] (lists lowest degree first)."""
+    rem = a[:]
+    dh = len(h) - 1
+    lead = h[-1]
+    for k in range(len(rem) - 1, dh - 1, -1):
+        c, r = divmod(rem[k], lead)
+        if r:
+            return False
+        if c:
+            off = k - dh
+            for j in range(dh):
+                rem[off + j] -= c * h[j]
+    return not any(rem[:dh])
+
+
+def root_residual(p: UniPoly, z: complex) -> float:
+    """Backward error of z as a root of p: |p(z)| / sum_k |c_k| |z|^k.
+
+    This is the smallest relative perturbation of the coefficients that
+    makes z an exact root, and unlike |p(z)| / max|c_k| it does not grow
+    with the size of z.
     """
-    xs = [as_q(x) for x, _ in points]
-    table = [as_q(y) for _, y in points]
-    n = len(xs)
-    # divided differences in place
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    poly = UniPoly()
-    basis = UniPoly.one()
-    for i in range(n):
-        poly = poly + basis * table[i]
-        basis = basis * UniPoly((-xs[i], ONE))
-    return poly
+    value = 0j
+    magnitude = 0.0
+    size = abs(z)
+    for c in reversed(p.coeffs):
+        value = value * z + complex(c)
+        magnitude = magnitude * size + abs(float(c))
+    return abs(value) / magnitude if magnitude else 0.0
 
 
 def roots_numeric(p: UniPoly, residual_bound: float = 1e-8):
@@ -232,13 +396,12 @@ def roots_numeric(p: UniPoly, residual_bound: float = 1e-8):
     eigenvalues plus a few Newton polishing steps.
 
     Returns roots sorted lexicographically by (real, imag).  Raises
-    :class:`NumericFailureError` when some root's relative residual
-    |p(root)| / max|coeff| exceeds ``residual_bound`` after polishing.
+    :class:`NumericFailureError` when some root's backward error
+    (:func:`root_residual`) exceeds ``residual_bound`` after polishing.
     """
     if p.degree < 1:
         raise PdTodaError("roots_numeric requires degree >= 1")
     cs = np.array([float(c) for c in p.coeffs], dtype=float)
-    scale = np.max(np.abs(cs))
     monic = cs / cs[-1]
     n = p.degree
     comp = np.zeros((n, n))
@@ -272,9 +435,10 @@ def roots_numeric(p: UniPoly, residual_bound: float = 1e-8):
         polished.append(z)
 
     for z in polished:
-        if abs(val(z, p)) / scale > residual_bound:
+        residual = root_residual(p, z)
+        if not residual <= residual_bound:  # NaN from overflow fails too
             raise NumericFailureError(
-                f"root residual {abs(val(z, p)) / scale:.3e} exceeds {residual_bound:.1e}"
+                f"root residual {residual:.3e} exceeds {residual_bound:.1e}"
             )
     polished.sort(key=lambda z: (z.real, z.imag))
     return polished

@@ -207,3 +207,26 @@ def test_smoothness_planted_double_point():
 def test_smoothness_trivial_rational_curve():
     s = TodaState(N=1, M=1, V=(1,), I=((2,),))
     assert smoothness_probe(spectral_data(s))["likely_smooth"]
+
+
+@pytest.mark.parametrize("N, M", [(4, 2), (5, 2), (4, 3)])
+def test_exact_core_matches_oracles_on_grown_heights(N, M):
+    # (phi, y D_NN) at t = 10, where the rational heights have grown; the
+    # integer resultant and the multimodular gcd must equal the
+    # expansion over Q[x] and the Euclidean gcd over Q exactly
+    from pdtoda.lmatrix import resultant_y, resultant_y_direct
+    from pdtoda.toda import evolve
+    from pdtoda.unipoly import gcd_monic, gcd_monic_euclid
+
+    s = random_state(N, M, random.Random(7))
+    for _ in range(10):
+        s = evolve(s)
+    X = transfer_matrix(s)
+    phi = spectral_data(s).phi_cleared
+    for i, j in ((N, N), (1, N)):
+        cleared = corner_minor(X, i, j).mul_y(1)
+        assert resultant_y(phi, cleared) == resultant_y_direct(phi, cleared)
+    R, S = compute_R_S(s)
+    U = gcd_monic(R, S)
+    assert U == gcd_monic_euclid(R, S)
+    assert U == divisor_poly(s).poly and U.degree == spectral_data(s).g

@@ -205,3 +205,30 @@ def test_resultant_matches_root_product_oracle():
             prod_val *= q_at[0] + q_at[1] * r + q_at[2] * r * r
         expected = complex(res(Q(11, 8)))
         assert abs(prod_val - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+_rationals = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+_x_polys = st.lists(_rationals, min_size=0, max_size=4).map(UniPoly)
+# y-degree 0 gives the dp = 0 and dq = 0 edge cases
+_y_polys = st.lists(_x_polys, min_size=1, max_size=4).map(_poly_in_y).filter(
+    lambda p: not p.is_zero()
+)
+
+
+@given(_y_polys, _y_polys)
+@settings(max_examples=150, deadline=None)
+def test_integer_resultant_matches_direct_expansion(p, q):
+    assert resultant_y(p, q) == resultant_y_direct(p, q)
+
+
+@pytest.mark.parametrize("dp, dq", [(0, 0), (0, 2), (2, 0), (1, 1), (3, 2)])
+def test_integer_resultant_degree_edges_with_large_denominators(dp, dq):
+    rng = random.Random(100 * dp + dq)
+
+    def draw(deg):
+        coeffs = [UniPoly([Q(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                           for _ in range(3)]) for _ in range(deg + 1)]
+        return _poly_in_y(coeffs)
+
+    p, q = draw(dp), draw(dq)
+    assert resultant_y(p, q) == resultant_y_direct(p, q)

@@ -1,12 +1,21 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtoda import unipoly
 from pdtoda.errors import PdTodaError
 from pdtoda.rationals import Q
-from pdtoda.unipoly import UniPoly, gcd_monic, lagrange_interpolate, roots_numeric
+from pdtoda.unipoly import (
+    UniPoly,
+    gcd_monic,
+    gcd_monic_euclid,
+    root_residual,
+    roots_numeric,
+)
 
 
 def rand_poly(rng, deg, span=6):
@@ -76,13 +85,6 @@ def test_gcd_divides_common_multiple(a, b, c):
     assert rp.is_zero()
 
 
-def test_interpolation_reproduces_polynomial():
-    rng = random.Random(3)
-    p = rand_poly(rng, 5)
-    pts = [(Q(k), p(Q(k))) for k in range(p.degree + 1)]
-    assert lagrange_interpolate(pts) == p
-
-
 def test_roots_simple_pair():
     x = UniPoly.x()
     roots = roots_numeric(x * x - 1)
@@ -115,3 +117,132 @@ def test_strip_x_power():
     x = UniPoly.x()
     k, rest = ((x ** 3) * (x - 2)).strip_x_power()
     assert k == 3 and rest == x - 2
+
+
+# ---------------------------------------------------------------------------
+# multimodular gcd against the Euclidean oracle
+# ---------------------------------------------------------------------------
+
+
+_rationals = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+_polys = st.lists(_rationals, min_size=1, max_size=6).map(UniPoly)
+
+
+@given(_polys, _polys, _polys)
+@settings(max_examples=150, deadline=None)
+def test_multimodular_gcd_matches_euclid_on_planted_factor(p, q, h):
+    a, b = p * h, q * h
+    if a.is_zero() and b.is_zero():
+        return
+    assert gcd_monic(a, b) == gcd_monic_euclid(a, b)
+
+
+@pytest.mark.parametrize("p, q", [
+    (UniPoly([3, -6]), UniPoly.zero()),
+    (UniPoly.zero(), UniPoly([Q(1, 2), 0, 5])),
+    (UniPoly.const(Q(-7, 3)), UniPoly([1, 2, 3])),
+    (UniPoly([1, 2, 3]), UniPoly.const(4)),
+    (UniPoly([2, 0, 1]), UniPoly([4, 0, 2])),
+])
+def test_gcd_degenerate_arguments_match_euclid(p, q):
+    assert gcd_monic(p, q) == gcd_monic_euclid(p, q)
+
+
+def test_gcd_skips_prime_dividing_both_leads():
+    x = UniPoly.x()
+    ell = unipoly._prime(0)
+    # the common factor vanishes mod the first prime except for its constant
+    p = (ell * x + 1) * (x - 2)
+    q = (ell * x + 1) * (x + 3)
+    assert gcd_monic(p, q) == x + Q(1, ell) == gcd_monic_euclid(p, q)
+    # only one lead divisible: the prime is kept, the degree drop is harmless
+    r = (ell * x - 1) * (x - 2)
+    assert gcd_monic(r, (x + 1) * (x - 2)) == x - 2
+
+
+def test_gcd_rejects_unlucky_primes_by_degree():
+    x = UniPoly.x()
+    ell0, ell1 = unipoly._prime(0), unipoly._prime(1)
+    # x - a and x - b agree mod the first prime, but are coprime
+    assert gcd_monic(x - 5, x - (5 + ell0)) == UniPoly.one()
+    assert gcd_monic(x - 5, x - (5 + 3 * ell0 * ell1)) == UniPoly.one()
+    # a first prime with too high a degree is replaced by a later one ...
+    assert gcd_monic((x - 1) * (x - 5), (x - 1) * (x - 5 - ell0)) == x - 1
+    # ... and a later prime with too high a degree is skipped
+    assert gcd_monic((x - 1) * (x - 5), (x - 1) * (x - 5 - ell1)) == x - 1
+
+
+def test_gcd_is_certified_by_trial_division_in_zx(monkeypatch):
+    calls = []
+    original = unipoly._divides_int
+
+    def spy(h, a):
+        ok = original(h, a)
+        calls.append((tuple(h), ok))
+        return ok
+
+    monkeypatch.setattr(unipoly, "_divides_int", spy)
+    x = UniPoly.x()
+    h = x * x - Q(3, 7) * x + 11
+    got = gcd_monic(h * (x - 2), h * (x + Q(1, 3)))
+    assert got == h
+    certified = {hs for hs, ok in calls if ok}
+    assert len(calls) >= 2 and len(certified) == 1
+    (hs,) = certified
+    assert UniPoly(Q(c, hs[-1]) for c in hs) == got
+
+
+def _miller_rabin(n):
+    # deterministic for n < 3.3e24 with the first twelve prime bases
+    if n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_table_entries_are_62_bit_primes():
+    primes = [unipoly._prime(i) for i in range(64)]
+    assert all(2**61 < p < 2**62 and _miller_rabin(p) for p in primes)
+    assert primes == sorted(set(primes), reverse=True)
+    # consecutive: no prime is skipped between the first few entries
+    for hi, lo in zip(primes[:4], primes[1:5]):
+        assert not any(_miller_rabin(n) for n in range(lo + 2, hi, 2))
+
+
+def test_prime_table_is_not_built_at_import():
+    code = "import pdtoda, pdtoda.unipoly as u; print(len(u._PRIMES))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# root residual
+# ---------------------------------------------------------------------------
+
+
+def test_root_residual_accepts_large_accurate_roots():
+    roots = [2149, -250, 4]
+    p = UniPoly.from_roots(roots)
+    assert all(root_residual(p, complex(r)) <= 1e-8 for r in roots)
+    for r in roots:
+        assert root_residual(p, complex(r * (1 + 1e-6))) > 1e-8
+
+
+def test_roots_numeric_no_false_alarm_on_mixed_root_sizes():
+    # |p(z)| / max|c_k| flags these accurate roots at about 1e-7
+    roots = [2149, -250, 4, Q(1, 3), Q(-1, 7)]
+    got = roots_numeric(UniPoly.from_roots(roots))
+    want = sorted(float(r) for r in roots)
+    assert max(abs(z - w) / abs(w) for z, w in zip(got, want)) < 1e-12

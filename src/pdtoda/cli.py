@@ -61,6 +61,14 @@ def _read_state(path: str):
     return state
 
 
+def _steps(text: str) -> int:
+    """argparse type of --steps: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output:
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the exact evolution")
     p.add_argument("--input", required=True, help="state JSON file")
     p.add_argument("--output", help="trajectory JSON file (stdout if omitted)")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_steps, default=10)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="spectral polynomial report")
@@ -147,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divisor", help="divisor polynomial trajectory")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_steps, default=10)
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("verify", help="run named verification suites")
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta-check", help="genus-1 theta validation (N=2, M=1)")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_steps, default=10)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_theta_check)
 

@@ -241,6 +241,18 @@ def rel_eval(p: BiLaurent, x0: complex, y0: complex) -> float:
     return abs(num) / mag
 
 
+def fiber_roots(p: BiLaurent, x0: complex):
+    """All nonzero y with p(x0, y) = 0, from the fiber polynomial in y."""
+    coeffs = np.array(
+        [complex(p.y_coeff(j)(complex(x0))) for j in range(p.y_min(), p.y_max() + 1)],
+        dtype=complex,
+    )
+    coeffs = np.trim_zeros(coeffs, "b")
+    if coeffs.size < 2:
+        raise NonGenericDataError("degenerate fiber")
+    return [y for y in np.roots(coeffs[::-1]) if abs(y) > 1e-13]
+
+
 def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
     """At each common zero of {D_N1, D_NN} on the curve, every D_Nk
     (k = 1..N) vanishes as well; numeric screen at the sampled roots."""
@@ -258,25 +270,13 @@ def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
         raise NonGenericDataError("no common zeros found")
     minors = [corner_minor(X, N, k) for k in range(1, N + 1)]
     for x0 in roots_numeric(common):
-        ys = _curve_y_values(sd, x0)
+        ys = fiber_roots(phi, x0)
         # the divisor point is the y on the curve killing both corner minors
         best = min(ys, key=lambda y: rel_eval(minors[0], x0, y) + rel_eval(minors[N - 1], x0, y))
         for m in minors:
             if rel_eval(m, x0, best) > tol:
                 return False
     return True
-
-
-def _curve_y_values(sd: SpectralData, x0: complex):
-    """All nonzero y with phi(x0, y) = 0, from the fiber polynomial in y."""
-    coeffs = np.array(
-        [complex(sd.phi_cleared.y_coeff(j)(complex(x0))) for j in range(sd.M + 2)],
-        dtype=complex,
-    )
-    coeffs = np.trim_zeros(coeffs, "b")
-    if coeffs.size < 2:
-        raise NonGenericDataError("degenerate fiber")
-    return [y for y in np.roots(coeffs[::-1]) if abs(y) > 1e-13]
 
 
 def track_divisor(state: TodaState, steps: int) -> list:
@@ -339,21 +339,8 @@ def smoothness_probe(sd: SpectralData, tol: float = 1e-8) -> dict:
         return {"likely_smooth": True, "witnesses": [], "note": "exact: resultants coprime"}
     witnesses = []
     for x0 in roots_numeric(common):
-        for y0 in _partial_fiber(sd, phi_y, x0):
+        for y0 in fiber_roots(phi_y, x0):
             vals = (rel_eval(phi, x0, y0), rel_eval(phi_y, x0, y0), rel_eval(phi_x, x0, y0))
             if all(v <= tol for v in vals):
                 witnesses.append(((x0.real, x0.imag), (y0.real, y0.imag)))
     return {"likely_smooth": not witnesses, "witnesses": witnesses}
-
-
-def _partial_fiber(sd: SpectralData, phi_y: BiLaurent, x0: complex):
-    """Roots in y of dphi/dy(x0, y); candidates for the singular ordinate."""
-    top = max(j for _, j in phi_y.terms)
-    low = min(j for _, j in phi_y.terms)
-    coeffs = np.array(
-        [complex(phi_y.y_coeff(j)(complex(x0))) for j in range(low, top + 1)], dtype=complex
-    )
-    coeffs = np.trim_zeros(coeffs, "b")
-    if coeffs.size < 2:
-        return []
-    return [y for y in np.roots(coeffs[::-1]) if abs(y) > 1e-13]

@@ -44,16 +44,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
-from .divisor import corner_minor, divisor_poly, rel_eval, track_divisor
+from .divisor import corner_minor, divisor_poly, fiber_roots, rel_eval, track_divisor
 from .errors import NumericFailureError, PdTodaError, SingularCurveError
 from .lax import spectral_data, transfer_matrix
 from .toda import TodaState, conserved_products, evolve, index_shift, require_valid
-from .unipoly import UniPoly, roots_numeric
+from .unipoly import UniPoly, horner, roots_numeric
 
 _GL_CACHE: dict = {}
+#: refinement stops with an error beyond this many panels on one path
+_MAX_PANELS = 2 ** 16
+#: panels evaluated per numpy batch, which keeps the node arrays small
+_CHUNK = 1024
 
 
 def _gl(n: int):
@@ -62,11 +67,21 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _poly_eval(p: UniPoly, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + complex(c)
-    return acc
+def _track(roots, w0: complex):
+    """Continue a square root along an ordered array of its principal
+    values: roots[k] is negated when the cumulative parity of nearest-root
+    flips up to k is odd, where step k flips when -roots[k] lies nearer
+    than roots[k] to roots[k - 1] (to w0 for k = 0).  Up to exact ties these
+    are the signs that stepping from w0 to the nearer of +-roots[k] at each
+    point picks."""
+    prev = np.concatenate(([w0], roots[:-1]))
+    flips = (roots * prev.conj()).real < 0
+    return np.where(np.cumsum(flips) % 2 == 1, -roots, roots)
+
+
+def _uniform(a: float, b: float):
+    """Panel edges on [a, b]: 8 equal panels, doubled at each level."""
+    return lambda level: np.linspace(a, b, 8 * 2 ** level + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +155,14 @@ class EllipticModel:
     _w_mid23: complex = field(default=0j, repr=False)
     _w_mid34: complex = field(default=0j, repr=False)
     _abel_cache: dict = field(default_factory=dict, repr=False)
+    _up: complex = field(default=0j, repr=False)     # int dx/w over the first leg
+    _w_top: complex = field(default=0j, repr=False)  # w at its top, e1 + i span
+    _qc: list = field(init=False, repr=False)
+    _fc: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._qc = [complex(c) for c in self.q.coeffs]
+        self._fc = [complex(c) for c in self.f.coeffs]
 
     # -- lattice helpers -------------------------------------------------
 
@@ -161,123 +184,96 @@ class EllipticModel:
     # -- curve geometry --------------------------------------------------
 
     def y_from_w(self, x: complex, w: complex) -> complex:
-        return (_poly_eval(self.q, x) + w) / 2
+        return (horner(self._qc, x) + w) / 2
 
     def w_from_y(self, x: complex, y: complex) -> complex:
-        return 2 * y - _poly_eval(self.q, x)
+        return 2 * y - horner(self._qc, x)
 
     def fval(self, x: complex) -> complex:
-        return _poly_eval(self.f, x)
+        return horner(self._fc, x)
 
     # -- integration core --------------------------------------------------
 
-    def _continue_w(self, points, w0: complex) -> complex:
-        """Transport w along an ordered polyline by nearest-sqrt matching."""
-        w = w0
-        for z in points[1:]:
-            root = cmath.sqrt(self.fval(z))
-            w = root if abs(root - w) <= abs(-root - w) else -root
-        return w
+    def _integrate(self, path, edges, w0: complex, with_x: bool = False):
+        """Composite 16-point Gauss-Legendre integral along a path s -> x(s).
 
-    def _walk(self, z0: complex, z1: complex, w0: complex, steps: int = 256) -> complex:
-        pts = [z0 + (z1 - z0) * k / steps for k in range(steps + 1)]
-        return self._continue_w(pts, w0)
-
-    def _walk_down(self, x_mid: float, height: float, w0: complex, floor: float = 1e-7,
-                   steps: int = 600) -> complex:
-        """Transport w from x_mid + i*height down to (almost) the real axis
-        with geometrically graded steps, so each step stays a small fraction
-        of the current height and sheet tracking is safe even near narrow
-        branch gaps."""
-        ratio = floor ** (1.0 / steps)
-        pts = [x_mid + 1j * height * ratio ** k for k in range(steps + 1)]
-        return self._continue_w(pts, w0)
-
-    def _leg(self, integrand, z0: complex, z1: complex, w0: complex):
-        """Integrate integrand(x, w) dx along a straight leg with sheet
-        transport; adaptive panel doubling."""
-        length = abs(z1 - z0)
-        if length == 0:
-            return 0j, w0
-        dmin = min(abs(complex(e) - _closest_on_segment(z0, z1, complex(e))) for e in self.branch)
-        dmin = max(dmin, 1e-12)
-        panels = max(4, min(4096, int(4 * length / dmin)))
-        prev_val = None
-        while True:
-            val, w_end = self._leg_fixed(integrand, z0, z1, w0, panels)
-            if prev_val is not None and abs(val - prev_val) <= self.quad_tol * (1 + abs(val)):
-                return val, w_end
-            prev_val = val
-            panels *= 2
-            if panels > 2 ** 16:
-                raise NumericFailureError("leg integral did not converge")
-
-    def _leg_fixed(self, integrand, z0, z1, w0, panels):
+        ``path(s)`` returns (x, jac, radicand) on an array of s.  The
+        integrand is [x] jac / r, where r = sqrt(radicand) is continued from
+        w0 by :func:`_track` through every node and panel edge in order, so
+        jac is dx/ds times whatever factor of w the tracked root leaves out.
+        ``edges(level)`` gives the panel edges in s at each refinement
+        level; levels rise until two successive values agree to quad_tol.
+        Returns (integral, r at the last edge).
+        """
         nodes, weights = _gl(16)
-        dz = (z1 - z0) / panels
-        total = 0j
-        w = w0
-        for k in range(panels):
-            a = z0 + dz * k
-            half = dz / 2
-            mid = a + half
-            for t, wt in zip(nodes, weights):
-                z = mid + half * t
-                root = cmath.sqrt(self.fval(z))
-                w = root if abs(root - w) <= abs(-root - w) else -root
-                total += wt * integrand(z, w) * half
-            # land exactly on the panel edge to keep the walk tight
-            root = cmath.sqrt(self.fval(a + dz))
-            w = root if abs(root - w) <= abs(-root - w) else -root
-        return total, w
+        prev = None
+        for level in count():
+            s_edges = edges(level)
+            if len(s_edges) > _MAX_PANELS + 1:
+                raise NumericFailureError("path integral did not converge")
+            total, r_end = 0j, w0
+            for k in range(0, len(s_edges) - 1, _CHUNK):
+                a = s_edges[k:k + _CHUNK + 1]
+                lo, hi = a[:-1, None], a[1:, None]
+                half = (hi - lo) / 2
+                # each row: the panel's nodes, then its right edge
+                s = np.hstack((lo + half + half * nodes, hi))
+                x, jac, radicand = path(s)
+                r = _track(np.sqrt(np.asarray(radicand, dtype=complex)).ravel(), r_end)
+                r_end = r[-1]
+                vals = jac / r.reshape(s.shape)
+                if with_x:
+                    vals = vals * x
+                total += np.sum((vals[:, :-1] @ weights) * half[:, 0])
+            if prev is not None and abs(total - prev) <= self.quad_tol * (1 + abs(total)):
+                return complex(total), complex(r_end)
+            prev = total
 
-    def _first_leg(self, with_x: bool = False):
-        """e1 -> e1 + iH with x = e1 + iH s^2; the s = 0 branch choice of
-        sqrt(f/(x - e1)) defines the global sheet.  Returns (integral of
-        dx/w [or x dx/w], w at the top)."""
-        e1 = complex(self.branch[0])
-        H = self._span
-        iH = 1j * H
+    def _leg_edges(self, z0: complex, z1: complex, level: int):
+        """Graded panel edges in s for x = z0 + (z1 - z0) s: each panel
+        spans a quarter of the distance from its start to the nearest branch
+        point, halved at every level."""
+        dz = z1 - z0
+        scale = 4 * 2 ** level * abs(dz)
+        # abel_finite keeps its targets this far out; the floor only rules
+        # out a zero step
+        floor = 1e-9 * self._span
+        edges = [0.0]
+        while edges[-1] < 1.0 and len(edges) <= _MAX_PANELS + 1:
+            x = z0 + dz * edges[-1]
+            d = max(min(abs(x - e) for e in self.branch), floor)
+            edges.append(min(1.0, edges[-1] + d / scale))
+        return np.array(edges)
 
-        rest = [complex(e) for e in self.branch[1:]]
+    def _leg(self, z0: complex, z1: complex, w0: complex):
+        """int dx / w along the straight leg z0 -> z1 and the continued w at
+        z1, starting from w = w0 at z0."""
+        if z0 == z1:
+            return 0j, w0
+        dz = z1 - z0
 
-        def rest_val(x):
-            out = 1 + 0j
-            for e in rest:
-                out *= (x - e)
-            return out
+        def path(s):
+            x = z0 + dz * s
+            return x, dz, self.fval(x)
 
+        return self._integrate(path, lambda level: self._leg_edges(z0, z1, level), w0)
+
+    def _first_leg(self):
+        """e1 -> e1 + iH with x = e1 + iH s^2, so w = s sqrt(iH) sqrt(rest(x))
+        with rest = f / (x - e1); the principal sqrt(rest(e1)) at s = 0
+        defines the global sheet.  Returns (int dx/w, w at the top)."""
+        e1, e2, e3, e4 = self.branch
+        iH = 1j * self._span
         sq_iH = cmath.sqrt(iH)
-        prev_val = None
-        panels = 8
-        while True:
-            nodes, weights = _gl(16)
-            total = 0j
-            h = rest_val(e1)
-            h_sqrt = cmath.sqrt(h)
-            ds = 1.0 / panels
-            for k in range(panels):
-                mid = ds * (k + 0.5)
-                for t, wt in zip(nodes, weights):
-                    s = mid + ds * t / 2
-                    x = e1 + iH * s * s
-                    root = cmath.sqrt(rest_val(x))
-                    h_sqrt = root if abs(root - h_sqrt) <= abs(-root - h_sqrt) else -root
-                    # dx = 2 iH s ds ; w = s * sqrt(iH) * h_sqrt
-                    base = 2 * iH / (sq_iH * h_sqrt)
-                    if with_x:
-                        base *= x
-                    total += wt * base * (ds / 2)
-            # land exactly on s = 1 before handing the sheet to the next leg
-            root = cmath.sqrt(rest_val(e1 + iH))
-            h_sqrt = root if abs(root - h_sqrt) <= abs(-root - h_sqrt) else -root
-            w_top = sq_iH * h_sqrt
-            if prev_val is not None and abs(total - prev_val) <= self.quad_tol * (1 + abs(total)):
-                return total, w_top
-            prev_val = total
-            panels *= 2
-            if panels > 2 ** 14:
-                raise NumericFailureError("first leg did not converge")
+
+        def path(s):
+            x = e1 + iH * s * s
+            # dx = 2 iH s ds; the factor s sqrt(iH) of w is not tracked
+            return x, 2 * iH / sq_iH, (x - e2) * (x - e3) * (x - e4)
+
+        up, r_top = self._integrate(path, _uniform(0.0, 1.0),
+                                    cmath.sqrt((e1 - e2) * (e1 - e3) * (e1 - e4)))
+        return up, sq_iH * r_top
 
     def _cut_integral(self, ea: float, eb: float, w_mid: complex, with_x: bool = False) -> complex:
         """int_{ea}^{eb} [x] dx / w across a segment whose endpoints are
@@ -285,8 +281,9 @@ class EllipticModel:
 
         On the segment f factors as -h^2 cos^2(theta) * rest(x) with rest
         carried by the two remaining branch points, so w = s h cos(theta)
-        sqrt(-rest(x)) with a constant phase s; this closed form has no
-        floating-point branch flips.  ``w_mid`` anchors s at the midpoint.
+        sqrt(-rest(x)) with a constant phase s: -rest keeps one sign on the
+        segment, so the tracked root never flips.  ``w_mid``, the continued
+        w at the midpoint, anchors s.
         """
         m = (ea + eb) / 2
         h = (eb - ea) / 2
@@ -295,34 +292,12 @@ class EllipticModel:
             raise NumericFailureError("cut endpoints must be two distinct branch points")
         o1, o2 = others
 
-        def w_form(x: float, costh: float) -> complex:
-            return h * costh * cmath.sqrt(-(x - o1) * (x - o2))
+        def path(th):
+            x = m + h * np.sin(th)
+            # dx = h cos(theta) dtheta cancels the factor h cos(theta) of w
+            return x, 1.0, -(x - o1) * (x - o2)
 
-        ref = w_form(m, 1.0)
-        sheet = 1 if abs(ref - w_mid) <= abs(-ref - w_mid) else -1
-        prev_val = None
-        panels = 8
-        while True:
-            nodes, weights = _gl(16)
-            total = 0j
-            dth = math.pi / panels
-            for k in range(panels):
-                th0 = -math.pi / 2 + dth * k
-                mid = th0 + dth / 2
-                for t, wt in zip(nodes, weights):
-                    th = mid + dth * t / 2
-                    costh = math.cos(th)
-                    x = m + h * math.sin(th)
-                    val = h * costh / (sheet * w_form(x, costh))
-                    if with_x:
-                        val *= x
-                    total += wt * val * (dth / 2)
-            if prev_val is not None and abs(total - prev_val) <= self.quad_tol * (1 + abs(total)):
-                return total
-            prev_val = total
-            panels *= 2
-            if panels > 2 ** 14:
-                raise NumericFailureError("cut integral did not converge")
+        return self._integrate(path, _uniform(-math.pi / 2, math.pi / 2), w_mid, with_x)[0]
 
     # -- Abel map ----------------------------------------------------------
 
@@ -335,12 +310,11 @@ class EllipticModel:
             raise NumericFailureError("target too close to a branch point")
         if self.fval(complex(x0)).real <= 0:
             raise NumericFailureError("abel_finite expects a target off the cuts")
-        up, w_top = self._first_leg()
         H = self._span
         e1 = complex(self.branch[0])
-        over, w_over = self._leg(lambda z, w: 1 / w, e1 + 1j * H, x0 + 1j * H, w_top)
-        down, w_end = self._leg(lambda z, w: 1 / w, x0 + 1j * H, complex(x0), w_over)
-        total = (up + over + down) / self.a_period
+        over, w_over = self._leg(e1 + 1j * H, x0 + 1j * H, self._w_top)
+        down, w_end = self._leg(x0 + 1j * H, complex(x0), w_over)
+        total = (self._up + over + down) / self.a_period
         # involution: landing on the opposite sheet negates the map
         if abs(w_end - w0) > abs(w_end + w0):
             total = -total
@@ -357,48 +331,31 @@ class EllipticModel:
         """A(P), the point over x = infinity with w/x^2 -> +1."""
         if "P" in self._abel_cache:
             return self._abel_cache["P"]
-        up, w_top = self._first_leg()
         H = self._span
         e1 = complex(self.branch[0])
         T = -(abs(self.branch[0]) + abs(self.branch[3]) + 10.0) * 3
-        over, w_over = self._leg(lambda z, w: 1 / w, e1 + 1j * H, T + 1j * H, w_top)
-        down, w_end = self._leg(lambda z, w: 1 / w, T + 1j * H, complex(T), w_over)
+        over, w_over = self._leg(e1 + 1j * H, T + 1j * H, self._w_top)
+        down, w_end = self._leg(T + 1j * H, complex(T), w_over)
         if abs(w_end.imag) > 1e-6 * abs(w_end):
             raise NumericFailureError("w should be real on the far real axis")
-        sign_L = 1.0 if w_end.real > 0 else -1.0
 
-        tail = self._tail_integral(-T, sign_L)
-        total = (up + over + down + tail) / self.a_period
-        # sign_L = +1 means the path ran to P; otherwise it reached Q = -P
-        value = total if sign_L > 0 else -total
+        tail = self._tail_integral(T, w_end)
+        total = (self._up + over + down + tail) / self.a_period
+        # w > 0 at T means the path runs on to P; otherwise it reaches Q = -P
+        value = total if w_end.real > 0 else -total
         out = self.lattice_reduce(value)
         self._abel_cache["P"] = out
         return out
 
-    def _tail_integral(self, T: float, sign_L: float) -> complex:
-        """int_{-T}^{-inf} dx/w with x = -T/u, u from 1 to 0; f > 0 on the
-        whole ray so the sheet is the constant sign_L."""
-        prev_val = None
-        panels = 8
-        while True:
-            nodes, weights = _gl(16)
-            total = 0.0
-            du = 1.0 / panels
-            for k in range(panels):
-                mid = du * (k + 0.5)
-                for t, wt in zip(nodes, weights):
-                    u = mid + du * t / 2
-                    x = -T / u
-                    w = sign_L * math.sqrt(self.fval(complex(x)).real)
-                    total += wt * (T / (u * u)) / w * (du / 2)
-            # u runs 1 -> 0 along the path, so flip the orientation
-            val = -total
-            if prev_val is not None and abs(val - prev_val) <= self.quad_tol * (1 + abs(val)):
-                return val
-            prev_val = val
-            panels *= 2
-            if panels > 2 ** 14:
-                raise NumericFailureError("tail integral did not converge")
+    def _tail_integral(self, T: float, w_T: complex) -> complex:
+        """int_{T}^{-inf} dx/w for T < 0 left of every branch point, with
+        x = T / s for s from 0 to 1 and the orientation flipped.  f > 0 on
+        the whole ray, so w keeps the sign of w_T there."""
+        def path(s):
+            x = T / s
+            return x, -T / (s * s), self.fval(x)
+
+        return -self._integrate(path, _uniform(0.0, 1.0), w_T)[0]
 
     # -- residues and the a-cycle x-integral --------------------------------
 
@@ -419,18 +376,6 @@ class EllipticModel:
         avg = total / nodes
         return -avg / self.a_period
 
-    @property
-    def a_cycle(self):
-        """Contour descriptor: the cut the a-cycle encircles, plus the sheet
-        anchor (the continued w at its midpoint)."""
-        return (self.branch[0], self.branch[1], self._w_mid12)
-
-    @property
-    def b_cycle(self):
-        """Contour descriptor: the gap segment the b-cycle crosses, plus the
-        sheet anchor at its midpoint."""
-        return (self.branch[1], self.branch[2], self._w_mid23)
-
     def a_cycle_x_integral(self) -> complex:
         """oint_a x omega = (2/A) int_{e1}^{e2} x dx / w."""
         return 2 * self._cut_integral(self.branch[0], self.branch[1], self._w_mid12, with_x=True) / self.a_period
@@ -446,16 +391,6 @@ def residue_constants(model: EllipticModel) -> tuple:
     """(Res_P(x omega), Res_Q(x omega)); by the residue theorem they cancel,
     since x omega has no other poles."""
     return model.residue_at_infinity(+1), model.residue_at_infinity(-1)
-
-
-def _closest_on_segment(z0: complex, z1: complex, p: complex) -> complex:
-    d = z1 - z0
-    L2 = (d * d.conjugate()).real
-    if L2 == 0:
-        return z0
-    t = ((p - z0) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return z0 + t * d
 
 
 def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
@@ -495,15 +430,17 @@ def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
         _span=span,
     )
 
-    # anchor the three midpoint sheets by continuation from the base leg
-    up, w_top = model._first_leg()
-    H = span
-    e1c = complex(es[0])
+    # anchor the three midpoint sheets by continuation from the first leg,
+    # over at height span and then down with geometrically graded steps, so
+    # each step stays a small fraction of the height even near narrow gaps
+    model._up, model._w_top = model._first_leg()
+    top = complex(es[0], span)
     for attr, mid in (("_w_mid12", (es[0] + es[1]) / 2),
                       ("_w_mid23", (es[1] + es[2]) / 2),
                       ("_w_mid34", (es[2] + es[3]) / 2)):
-        _, w_over = model._leg(lambda z, w: 0j, e1c + 1j * H, mid + 1j * H, w_top)
-        setattr(model, attr, model._walk_down(mid, H, w_over))
+        _, w_over = model._leg(top, complex(mid, span), model._w_top)
+        descent = mid + 1j * span * np.geomspace(1.0, 1e-7, 601)
+        setattr(model, attr, complex(_track(np.sqrt(model.fval(descent)), w_over)[-1]))
 
     a_per = 2 * model._cut_integral(es[0], es[1], model._w_mid12)
     b_per = 2 * model._cut_integral(es[1], es[2], model._w_mid23)
@@ -539,17 +476,11 @@ def divisor_point(state: TodaState) -> tuple:
     d_nn = corner_minor(X, 2, 2)
     d_1n = corner_minor(X, 1, 2)
     xf = float(x0)
-    ys = _fiber_roots(sd, xf)
+    ys = fiber_roots(sd.phi_cleared, xf)
     best = min(ys, key=lambda y: rel_eval(d_nn, xf, y) + rel_eval(d_1n, xf, y))
     if rel_eval(d_nn, xf, best) > 1e-7 or rel_eval(d_1n, xf, best) > 1e-7:
         raise NumericFailureError("could not locate the divisor point on the curve")
     return x0, best
-
-
-def _fiber_roots(sd, x0: float):
-    coeffs = [complex(sd.phi_cleared.y_coeff(j)(complex(x0))) for j in range(sd.M + 2)]
-    arr = np.trim_zeros(np.array(coeffs, dtype=complex), "b")
-    return [y for y in np.roots(arr[::-1]) if abs(y) > 1e-13]
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Coefficients are stored lowest degree first; the invariant is that the
 highest stored coefficient is nonzero, with the empty tuple representing
-the zero polynomial.  Everything here is exact except :func:`roots_numeric`
-and its check :func:`root_residual`, the deliberately floating-point
-routines (reporting only).  The gcd works modulo word-size primes but
+the zero polynomial.  Everything here is exact except :func:`horner`,
+:func:`roots_numeric` and its check :func:`root_residual`, the deliberately
+floating-point routines.  The gcd works modulo word-size primes but
 certifies its result exactly in Z[x].
 """
 
@@ -375,6 +375,15 @@ def _divides_int(h: list, a: list) -> bool:
     return not any(rem[:dh])
 
 
+def horner(coeffs: Sequence, z):
+    """p(z) by Horner's rule from float or complex coefficients, lowest
+    degree first; z may be a scalar or a numpy array."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def root_residual(p: UniPoly, z: complex) -> float:
     """Backward error of z as a root of p: |p(z)| / sum_k |c_k| |z|^k.
 
@@ -409,26 +418,20 @@ def roots_numeric(p: UniPoly, residual_bound: float = 1e-8):
     comp[:, -1] = -monic[:-1]
     roots = np.linalg.eigvals(comp)
 
-    dp = p.derivative()
-
-    def val(z, poly):
-        acc = 0j
-        for c in reversed(poly.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
+    pc = [complex(c) for c in p.coeffs]
+    dpc = [complex(c) for c in p.derivative().coeffs]
     polished = []
     for z in roots:
         for _ in range(3):
-            fz = val(z, p)
-            dz = val(z, dp)
+            fz = horner(pc, z)
+            dz = horner(dpc, z)
             if dz == 0:
                 break
             step = fz / dz
             if not np.isfinite(step.real) or not np.isfinite(step.imag):
                 break
             z2 = z - step
-            if abs(val(z2, p)) < abs(fz):
+            if abs(horner(pc, z2)) < abs(fz):
                 z = z2
             else:
                 break

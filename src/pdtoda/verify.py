@@ -553,6 +553,8 @@ def run_suite(suite: str, seed: int, inject_fault: str | None = None,
 
     if suite != "all" and suite not in SUITES:
         raise PdTodaError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+    if inject_fault is not None and inject_fault not in CHECKS:
+        raise PdTodaError(f"unknown check {inject_fault!r}; choose from {sorted(CHECKS)}")
     selected = sorted(
         name for name, (_, suites) in CHECKS.items() if suite == "all" or suite in suites
     )

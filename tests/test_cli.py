@@ -97,6 +97,13 @@ def test_theta_check_wrong_shape_is_usage_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "divisor", "theta-check"])
+def test_negative_steps_is_usage_error(state_file, command):
+    r = run_cli(command, "--input", str(state_file), "--steps", "-3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+
+
 def test_exit_code_on_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
@@ -144,6 +151,13 @@ def test_verify_fault_injection_banded_template():
     rep = json.loads(r.stdout)
     failed = {c["name"] for c in rep["checks"] if not c["passed"]}
     assert failed == {"banded-template"}
+
+
+def test_verify_unknown_fault_name_is_usage_error():
+    r = run_cli("verify", "--suite", "core", "--seed", "1", "--inject-fault", "no-such-check")
+    assert r.returncode == 2
+    assert "no-such-check" in r.stderr and "second-row" in r.stderr
+    assert r.stdout == ""
 
 
 def test_exit_code_on_singular_curve(tmp_path):

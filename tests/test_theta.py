@@ -2,11 +2,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pdtoda.errors import NumericFailureError, PdTodaError, SingularCurveError
 from pdtoda.rationals import Q
 from pdtoda.theta import (
+    _track,
     divisor_point,
     elliptic_model,
     riemann_theta,
@@ -206,7 +208,6 @@ def test_abel_map_is_path_independent_mod_lattice():
     w0 = m.w_from_y(float(x0), y0)
     direct = m.abel_finite(float(x0), w0)
 
-    up, w_top = m._first_leg()
     H = m._span
     e1 = complex(m.branch[0])
     left = e1 - H
@@ -216,10 +217,10 @@ def test_abel_map_is_path_independent_mod_lattice():
         (left - 1j * H, float(x0) - 1j * H),
         (float(x0) - 1j * H, complex(float(x0))),
     ]
-    total = up
-    w = w_top
+    total = m._up
+    w = m._w_top
     for z0, z1 in legs:
-        val, w = m._leg(lambda z, ww: 1 / ww, z0, z1, w)
+        val, w = m._leg(z0, z1, w)
         total += val
     total /= m.a_period
     if abs(w - w0) > abs(w + w0):
@@ -227,6 +228,46 @@ def test_abel_map_is_path_independent_mod_lattice():
         w = -w
     assert abs(w - w0) < 1e-6 * (1 + abs(w0))
     assert m.lattice_distance(total - direct) < 1e-9
+
+
+@pytest.mark.parametrize("seed, draw", [(2, 1), (5, 9), (11, 16)])
+def test_theta_check_with_abel_target_near_a_branch_point(seed, draw):
+    # D_0 or D_1 lies within 1e-6 * span of a branch point: the straight
+    # legs must grade their panels toward it to converge
+    rng = random.Random(seed)
+    for _ in range(draw):
+        s = random_state(2, 1, rng)
+    m = elliptic_model(s)
+    xs = [float(divisor_point(p)[0]) for p in (s, evolve(s))]
+    assert min(abs(x - e) for x in xs for e in m.branch) < 1e-6 * m._span
+    rep = theta_check(s, steps=10)
+    assert rep["pass"]
+
+
+def test_unconverged_quadrature_raises():
+    # a negative tolerance can never be met, so refinement runs into the cap
+    s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
+    with pytest.raises(NumericFailureError, match="did not converge"):
+        elliptic_model(s, quad_tol=-1.0)
+
+
+def test_track_matches_sequential_nearest_root_rule():
+    # twice around e2 alone: w changes sign after each loop; the vectorized
+    # tracker must pick the signs of stepping from point to point
+    m = elliptic_model(TodaState(N=2, M=1, V=(1, 1), I=((2, 3),)))
+    e1, e2, e3 = m.branch[:3]
+    radius = min(e2 - e1, e3 - e2) / 2
+    pts = e2 + radius * np.exp(1j * np.linspace(0.0, 4 * np.pi, 401))
+    roots = np.sqrt(m.fval(pts))
+    w0 = -roots[0]
+    w, expected = w0, []
+    for root in roots:
+        w = root if abs(root - w) <= abs(-root - w) else -root
+        expected.append(w)
+    tracked = _track(roots, w0)
+    assert np.array_equal(tracked, np.array(expected))
+    assert abs(tracked[200] + w0) < 1e-9 * abs(w0)
+    assert abs(tracked[400] - w0) < 1e-9 * abs(w0)
 
 
 def test_numeric_quantities_stable_under_refinement():

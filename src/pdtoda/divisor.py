@@ -176,17 +176,23 @@ def divisor_poly(state: TodaState, variant: str = "X") -> DivisorPoly:
     require_valid(state)
     X = transfer_matrix(state)
     sd = char_poly(X, state.N, state.M)
-    g = sd.g
-    if g == 0:
-        return DivisorPoly(poly=UniPoly.one(), t=state.t, variant=variant)
-    if variant != "X":
+    if sd.g and variant != "X":
         X = operator_matrix(state, variant)
-    ups = gcd_monic(*_corner_resultants(X, sd.phi_cleared, sd.N))
-    if ups.degree != g:
+    return _divisor_of(X, sd, variant, state.t)
+
+
+def _divisor_of(X: LaurentMatrix, sd: SpectralData, variant: str, t: int,
+                corners=None) -> DivisorPoly:
+    """U of the operator X on the curve of ``sd``; ``corners`` is X's (R, S)
+    when the caller already has them."""
+    if sd.g == 0:
+        return DivisorPoly(poly=UniPoly.one(), t=t, variant=variant)
+    ups = gcd_monic(*(corners or _corner_resultants(X, sd.phi_cleared, sd.N)))
+    if ups.degree != sd.g:
         raise NonGenericDataError(
-            f"gcd degree {ups.degree} != genus {g} for variant {variant}"
+            f"gcd degree {ups.degree} != genus {sd.g} for variant {variant}"
         )
-    return DivisorPoly(poly=ups, t=state.t, variant=variant)
+    return DivisorPoly(poly=ups, t=t, variant=variant)
 
 
 def zeros_factorization_check(state: TodaState) -> dict:
@@ -198,12 +204,26 @@ def zeros_factorization_check(state: TodaState) -> dict:
     named booleans; raises on non-generic data.
     """
     require_valid(state)
-    sd = spectral_data(state)
-    N = sd.N
     X = transfer_matrix(state)
+    sd = char_poly(X, state.N, state.M)
+    N = sd.N
     phi = sd.phi_cleared
 
-    ups = {v: divisor_poly(state, v).poly for v in VARIANTS + ("shiftup",)}
+    # one curve serves all five operators; only the shifted ones need a new X
+    X_down = transfer_matrix(index_shift(state, -1))
+    operators = {
+        "X": X,
+        "Xstar": antitranspose(X),
+        "shift": X_down,
+        "shiftstar": antitranspose(X_down),
+        "shiftup": transfer_matrix(index_shift(state, 1)),
+    }
+    R, S = _corner_resultants(X, phi, N)
+    ups = {
+        v: _divisor_of(op, sd, v, state.t, (R, S) if v == "X" else None).poly
+        for v, op in operators.items()
+    }
+    known = {(N, N): R, (1, N): S}
     pairs = {
         (N, N): ("X", "shiftstar"),
         (1, 1): ("shiftup", "Xstar"),
@@ -212,9 +232,8 @@ def zeros_factorization_check(state: TodaState) -> dict:
     }
     results = {}
     for (i, j), (va, vb) in pairs.items():
-        lhs = _normalized(minor_resultant(phi, corner_minor(X, i, j)))
-        rhs = _normalized(ups[va] * ups[vb])
-        results[f"D{i}{j}"] = lhs == rhs
+        res = known[i, j] if (i, j) in known else minor_resultant(phi, corner_minor(X, i, j))
+        results[f"D{i}{j}"] = _normalized(res) == _normalized(ups[va] * ups[vb])
 
     cm = char_matrix(X)
     d11 = minor_signed(cm, 1, 1)

@@ -59,6 +59,8 @@ _GL_CACHE: dict = {}
 _MAX_PANELS = 2 ** 16
 #: panels evaluated per numpy batch, which keeps the node arrays small
 _CHUNK = 1024
+#: bound on the two principal-divisor residuals of theta_check (lattice units)
+PRINCIPAL_DIVISOR_TOL = 1e-8
 
 
 def _gl(n: int):
@@ -646,5 +648,6 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
         "entries": entries,
         "skipped": skipped,
         "max_abs_err": max_err,
-        "pass": bool(max_err <= tol and torsion <= 1e-8 and x_div <= 1e-8),
+        "pass": bool(max_err <= tol and torsion <= PRINCIPAL_DIVISOR_TOL
+                     and x_div <= PRINCIPAL_DIVISOR_TOL),
     }

@@ -2,15 +2,29 @@
 
 Every check draws its own deterministic RNG from (seed, check name), so
 the report for a given seed is byte-stable regardless of execution order.
-Failures carry a counterexample dump in the details field.  A check name
-may be passed as ``inject_fault`` to deliberately corrupt its data; this
-exists to demonstrate that the harness actually detects violations.
+
+A check is ``fn(rng, ck)``: it states each claim once, through the
+comparer ``ck`` that :func:`run_suite` passes in, and returns its pass
+details.  ``ck.eq(label, witness, lhs, rhs)`` is an exact comparison,
+``ck.le(label, witness, residual, tol)`` a numeric one; the witness is the
+state the claim is made about (or None).  The first failed comparison ends
+the check, and the report carries its counterexample dump: the label,
+lhs/rhs or residual/tol, and the witness under ``"state"``.
+
+``inject_fault=NAME`` corrupts the first comparison of check NAME: an
+exact comparison gets an expected side that equals nothing, a numeric one
+a residual pushed past its tolerance.  So every check must fail under it,
+which shows that the harness detects violations.  ``tol`` (``--tol``)
+overrides the tolerance of the two numeric screens that read ``ck.tol``:
+``theta-reproduction`` and ``common-zero-support``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
-from dataclasses import dataclass, field
+from itertools import product
 
 from .arrows import (
     SE,
@@ -38,8 +52,8 @@ from .divisor import (
 )
 from .errors import NonGenericDataError, NumericFailureError, PdTodaError, SingularCurveError
 from .lax import (
-    BandParams,
     band_params,
+    band_params_of_matrix,
     banded_template,
     bloch_basis,
     char_poly,
@@ -52,7 +66,7 @@ from .lax import (
     time_step_det_check,
     transfer_matrix,
 )
-from .lmatrix import antitranspose, det
+from .lmatrix import LaurentMatrix, antitranspose, det
 from .rationals import Q, q_str
 from .toda import (
     TodaState,
@@ -65,18 +79,11 @@ from .toda import (
     state_to_json,
     validate,
 )
-from .theta import riemann_theta, theta_check
+from .theta import PRINCIPAL_DIVISOR_TOL, riemann_theta, theta_check
 from .unipoly import UniPoly
 
 SMALL_CORPUS = ((2, 1), (3, 1), (3, 2), (4, 2))
 CHECKS = {}
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
 
 
 def check(name, *suites):
@@ -85,6 +92,55 @@ def check(name, *suites):
         return fn
 
     return wrap
+
+
+class _Mismatch(Exception):
+    """A failed comparison; ``details`` is its counterexample dump."""
+
+    def __init__(self, details: dict):
+        super().__init__(details["label"])
+        self.details = details
+
+
+class _Nothing:
+    """The expected side of an exact comparison under fault injection."""
+
+    def __eq__(self, other):
+        return False
+
+    def __repr__(self):
+        return "<injected fault>"
+
+
+class Comparer:
+    """The one place where a check's claims are compared and dumped."""
+
+    def __init__(self, corrupt: bool = False, tol: float | None = None):
+        self._corrupt = corrupt
+        self._tol = tol
+
+    def tol(self, default: float) -> float:
+        """The ``--tol`` override, or ``default`` when none is set."""
+        return default if self._tol is None else self._tol
+
+    def eq(self, label: str, witness: TodaState | None, lhs, rhs) -> None:
+        if self._corrupt:
+            rhs = _Nothing()
+        if lhs != rhs:
+            raise _Mismatch(_dump(label, witness, lhs=lhs, rhs=rhs))
+
+    def le(self, label: str, witness: TodaState | None, residual: float, tol: float) -> None:
+        if self._corrupt:
+            residual = residual + tol + 1.0
+        if not residual <= tol:
+            raise _Mismatch(_dump(label, witness, residual=residual, tol=tol))
+
+
+def _dump(label, witness, **sides) -> dict:
+    details = {"label": label, **sides}
+    if witness is not None:
+        details["state"] = witness
+    return details
 
 
 def _states(rng, shapes, per_shape, generic=None):
@@ -101,42 +157,31 @@ def _states(rng, shapes, per_shape, generic=None):
 
 
 @check("evolution-closure", "core")
-def _evolution_closure(rng, fault=False):
+def _evolution_closure(rng, ck):
     for s in _states(rng, [(n, m) for n in (1, 2, 3, 4, 5) for m in (1, 2, 3)], 2):
         nxt = evolve(s)
         for n in range(1, s.N + 1):
             new_i = nxt.i(n, s.M - 1)
-            if new_i != s.i(n) + s.v(n) - nxt.v(n - 1):
-                return CheckResult("evolution-closure", False, {"state": state_to_json(s), "site": n})
-            if nxt.v(n) != s.i(n + 1) * s.v(n) / new_i:
-                return CheckResult("evolution-closure", False, {"state": state_to_json(s), "site": n})
-        if not validate(nxt).ok:
-            return CheckResult(
-                "evolution-closure", False,
-                {"state": state_to_json(s), "violations": validate(nxt).violations},
-            )
-    return CheckResult("evolution-closure", True, {"states": 30})
+            ck.eq(f"I'^(M-1)_{n} = I_{n} + V_{n} - V'_{n - 1}", s,
+                  new_i, s.i(n) + s.v(n) - nxt.v(n - 1))
+            ck.eq(f"V'_{n} = I_{n + 1} V_{n} / I'^(M-1)_{n}", s, nxt.v(n), s.i(n + 1) * s.v(n) / new_i)
+        ck.eq("violations of the evolved state", s, validate(nxt).violations, ())
+    return {"states": 30}
 
 
 @check("product-conservation", "core")
-def _product_conservation(rng, fault=False):
+def _product_conservation(rng, ck):
     for s in _states(rng, [(2, 1), (3, 2), (4, 3), (5, 2)], 2):
         base = sorted(conserved_products(s))
         cur = s
         for _ in range(5):
             cur = evolve(cur)
-            if sorted(conserved_products(cur)) != base:
-                return CheckResult(
-                    "product-conservation", False,
-                    {"state": state_to_json(s), "t": cur.t,
-                     "expected": [q_str(p) for p in base],
-                     "got": [q_str(p) for p in conserved_products(cur)]},
-                )
-    return CheckResult("product-conservation", True, {"states": 8, "steps": 5})
+            ck.eq(f"conserved products at t={cur.t}", s, sorted(conserved_products(cur)), base)
+    return {"states": 8, "steps": 5}
 
 
 @check("evolution-float-oracle", "core")
-def _evolution_float_oracle(rng, fault=False):
+def _evolution_float_oracle(rng, ck):
     worst = 0.0
     for s in _states(rng, [(n, m) for n in (1, 2, 3, 4, 5) for m in (1, 2)], 2):
         nxt = evolve(s)
@@ -145,16 +190,15 @@ def _evolution_float_oracle(rng, fault=False):
             worst = max(worst, abs(a - float(b)) / abs(a))
         for a, b in zip(fv, nxt.V):
             worst = max(worst, abs(a - float(b)) / abs(a))
-    return CheckResult("evolution-float-oracle", worst < 1e-10, {"max_rel_err": worst})
+    ck.le("max relative error of the float step", None, worst, 1e-10)
+    return {"max_rel_err": worst}
 
 
 @check("state-roundtrip", "core")
-def _state_roundtrip(rng, fault=False):
+def _state_roundtrip(rng, ck):
     for s in _states(rng, SMALL_CORPUS, 2):
-        back = state_from_json(state_to_json(s))
-        if back != s:
-            return CheckResult("state-roundtrip", False, {"state": state_to_json(s)})
-    return CheckResult("state-roundtrip", True, {})
+        ck.eq("state_from_json(state_to_json(s)) = s", s, state_from_json(state_to_json(s)), s)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -163,80 +207,59 @@ def _state_roundtrip(rng, fault=False):
 
 
 @check("isospectrality", "lax")
-def _isospectrality(rng, fault=False):
+def _isospectrality(rng, ck):
     for s in _states(rng, SMALL_CORPUS, 2):
         sd = spectral_data(s)
         cur = s
         for _ in range(3):
             cur = evolve(cur)
-            if spectral_data(cur).phi != sd.phi:
-                return CheckResult("isospectrality", False, {"state": state_to_json(s), "t": cur.t})
-    return CheckResult("isospectrality", True, {"shapes": list(SMALL_CORPUS), "steps": 3})
+            ck.eq(f"phi at t={cur.t} = phi at t=0", s, spectral_data(cur).phi, sd.phi)
+    return {"shapes": list(SMALL_CORPUS), "steps": 3}
 
 
 @check("refactorization", "lax")
-def _refactorization(rng, fault=False):
+def _refactorization(rng, ck):
     for s in _states(rng, SMALL_CORPUS, 2):
-        ok, _ = refactorization_check(s)
-        if not ok:
-            return CheckResult("refactorization", False, {"state": state_to_json(s)})
-    return CheckResult("refactorization", True, {})
+        ck.eq("L' R'_(M-1) = R_(0) L", s, refactorization_check(s)[0], True)
+    return {}
 
 
 @check("detx-factorization", "lax")
-def _detx(rng, fault=False):
+def _detx(rng, ck):
     for s in _states(rng, [(1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2)], 2):
-        ok, d, e = det_x_factorization_check(s)
-        if not ok:
-            return CheckResult(
-                "detx-factorization", False,
-                {"state": state_to_json(s), "det": repr(d), "expected": repr(e)},
-            )
-    return CheckResult("detx-factorization", True, {})
+        _, d, e = det_x_factorization_check(s)
+        ck.eq("det X = y^-1 (y - e prod V) prod_k (prod I_k - e y)", s, d, e)
+    return {}
 
 
 @check("degree-profile", "lax")
-def _profile(rng, fault=False):
+def _profile(rng, ck):
     for s in _states(rng, SMALL_CORPUS + ((4, 3), (5, 2)), 2):
-        problems = check_degree_profile(spectral_data(s))
-        if problems:
-            return CheckResult("degree-profile", False, {"state": state_to_json(s), "problems": problems})
-    return CheckResult("degree-profile", True, {})
+        ck.eq("degree-profile violations", s, check_degree_profile(spectral_data(s)), [])
+    return {}
 
 
 @check("genus-newton", "lax")
-def _genus_newton(rng, fault=False):
+def _genus_newton(rng, ck):
     values = {}
     for (N, M) in SMALL_CORPUS + ((4, 3), (5, 2)):
         s = random_state(N, M, rng)
-        ok, interior = newton_genus_check(spectral_data(s))
+        _, interior = newton_genus_check(spectral_data(s))
         values[f"{N},{M}"] = interior
-        if not ok:
-            return CheckResult("genus-newton", False, {"shape": [N, M], "interior": interior,
-                                                       "formula": genus(N, M)})
-    return CheckResult("genus-newton", True, {"interior_counts": values})
+        ck.eq("Newton polygon interior points = genus formula", s, interior, genus(N, M))
+    return {"interior_counts": values}
 
 
 @check("banded-template", "lax")
-def _banded(rng, fault=False):
+def _banded(rng, ck):
     for s in _states(rng, [(2, 1), (3, 2), (4, 2), (5, 3)], 2):
         X = transfer_matrix(s)
-        params = band_params(s, X)
-        if fault:
-            beta = list(params.beta)
-            beta[0] = beta[0] + 1
-            params = BandParams(N=params.N, M=params.M, alpha=params.alpha, beta=tuple(beta))
-        if banded_template(params) != X:
-            return CheckResult(
-                "banded-template", False,
-                {"state": state_to_json(s), "note": "template mismatch",
-                 "beta": [q_str(b) for b in params.beta]},
-            )
-    return CheckResult("banded-template", True, {})
+        ck.eq("banded template of the band coefficients = X", s, banded_template(band_params(s, X)), X)
+    return {}
 
 
 @check("bloch-window", "lax")
-def _bloch(rng, fault=False):
+def _bloch(rng, ck):
     for s in _states(rng, [(3, 1), (4, 2), (5, 3)], 2):
         params = band_params(s)
         upto = 2 * s.N + 2
@@ -244,33 +267,25 @@ def _bloch(rng, fault=False):
         x = UniPoly.x()
         for vec in basis.vectors:
             for n in range(2, upto - s.M + 1):
-                lhs = vec[n + s.M - 1]
                 rhs = x * vec[n - 1] - params.b(n - 1) * vec[n - 2]
                 for k in range(1, s.M + 1):
                     rhs = rhs - params.a(k, n + k - 1) * vec[n + k - 2]
-                if lhs != rhs:
-                    return CheckResult("bloch-window", False, {"state": state_to_json(s), "n": n})
+                ck.eq(f"Bloch recurrence at n={n}", s, vec[n + s.M - 1], rhs)
         # windows at a shifted offset stay independent at random rational x
         x0 = Q(rng.randint(1, 40), rng.randint(1, 7))
         window = [[vec[s.M + 1 + i](x0) for vec in basis.vectors] for i in range(s.M + 1)]
-        from .lmatrix import LaurentMatrix
-
         wdet = det(LaurentMatrix([[BiLaurent.const(c) for c in row] for row in window]))
-        if wdet.is_zero():
-            return CheckResult("bloch-window", False, {"state": state_to_json(s), "x": q_str(x0),
-                                                       "note": "degenerate shifted window"})
-    return CheckResult("bloch-window", True, {})
+        ck.eq(f"shifted window at x={q_str(x0)} is degenerate", s, wdet.is_zero(), False)
+    return {}
 
 
 @check("time-step-det", "lax")
-def _tstep(rng, fault=False):
+def _tstep(rng, ck):
     shapes = [(2, 1), (3, 1), (4, 2), (3, 2), (4, 3), (5, 3)]
     for s in _states(rng, shapes, 2):
-        ok, d, e = time_step_det_check(s)
-        if not ok:
-            return CheckResult("time-step-det", False,
-                               {"state": state_to_json(s), "det": repr(d), "expected": repr(e)})
-    return CheckResult("time-step-det", True, {"shapes": shapes})
+        _, d, e = time_step_det_check(s)
+        ck.eq("det H = (-1)^(M+1) I_1 x", s, d, e)
+    return {"shapes": shapes}
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +294,16 @@ def _tstep(rng, fault=False):
 
 
 @check("u-row-product", "appendix")
-def _u_row_product(rng, fault=False):
+def _u_row_product(rng, ck):
     for s in _states(rng, [(3, 2), (4, 3), (5, 3), (7, 6)], 2):
         for k in range(1, s.M + 1):
-            if u_row(s, k) != u_row_matrix_oracle(s, k):
-                return CheckResult("u-row-product", False, {"state": state_to_json(s), "k": k})
-    return CheckResult("u-row-product", True, {})
+            ck.eq(f"u_row(k={k}) = first row of the matrix product", s,
+                  u_row(s, k), u_row_matrix_oracle(s, k))
+    return {}
 
 
 @check("u-row-values", "appendix")
-def _u_row_values(rng, fault=False):
+def _u_row_values(rng, ck):
     s = random_state(5, 3, rng)
     i = s.i
     expect = {
@@ -303,69 +318,46 @@ def _u_row_values(rng, fault=False):
         ),
     }
     for k, row in expect.items():
-        got = u_row(s, k)
-        if tuple(got) != tuple(Q(v) for v in row):
-            return CheckResult("u-row-values", False, {"k": k, "got": [q_str(g) for g in got]})
-    return CheckResult("u-row-values", True, {})
+        ck.eq(f"u_row(k={k}) = closed form", s, tuple(u_row(s, k)), tuple(Q(v) for v in row))
+    return {}
 
 
 @check("arrow-composition-sum", "appendix")
-def _arrow_sum_check(rng, fault=False):
+def _arrow_sum_check(rng, ck):
     s = random_state(7, 6, rng)
     for k in range(1, 7):
         for j in range(1, k + 2):
-            if arrow_sum(s, k, j) != u_row(s, k)[j - 1]:
-                return CheckResult("arrow-composition-sum", False, {"k": k, "j": j})
+            ck.eq(f"arrow_sum(k={k}, j={j}) = u_row(k)[{j - 1}]", s, arrow_sum(s, k, j), u_row(s, k)[j - 1])
     base = random_state(3, 2, rng)
-    if arrow_eval(base, [SW]) != base.i(1) or arrow_eval(base, [SW, SE]) != base.i(2) \
-            or arrow_eval(base, [SE, SW]) != base.i(1, 1):
-        return CheckResult("arrow-composition-sum", False, {"note": "length <= 2 evaluations"})
-    return CheckResult("arrow-composition-sum", True, {"exhaustive_upto": 6})
+    ck.eq("{SW} = I_1", base, arrow_eval(base, [SW]), base.i(1))
+    ck.eq("{SW, SE} = I_2", base, arrow_eval(base, [SW, SE]), base.i(2))
+    ck.eq("{SE, SW} = I_1^(1)", base, arrow_eval(base, [SE, SW]), base.i(1, 1))
+    return {"exhaustive_upto": 6}
 
 
 @check("arrow-prefix-swap", "appendix")
-def _arrow_swap(rng, fault=False):
-    from itertools import product as iproduct
-
+def _arrow_swap(rng, ck):
     s = random_state(7, 6, rng)
-    for k in range(1, 5):
-        for tail in iproduct((SW, SE), repeat=k - 1):
-            if not prefix_swap_check(s, tail):
-                return CheckResult("arrow-prefix-swap", False, {"tail": list(tail)})
-    for _ in range(20):
-        k = rng.randint(1, 6)
-        tail = tuple(rng.choice((SW, SE)) for _ in range(k - 1))
-        if not prefix_swap_check(s, tail):
-            return CheckResult("arrow-prefix-swap", False, {"tail": list(tail)})
-    return CheckResult("arrow-prefix-swap", True, {"exhaustive_upto": 4})
+    exhaustive = [tail for k in range(1, 5) for tail in product((SW, SE), repeat=k - 1)]
+    drawn = [tuple(rng.choice((SW, SE)) for _ in range(rng.randint(1, 6) - 1)) for _ in range(20)]
+    for tail in exhaustive + drawn:
+        ck.eq(f"prefix swap on tail {list(tail)}", s, prefix_swap_check(s, tail), True)
+    return {"exhaustive_upto": 4}
 
 
 @check("arrow-row-sums", "appendix")
-def _arrow_rows(rng, fault=False):
+def _arrow_rows(rng, ck):
     for s in _states(rng, [(2, 1), (4, 2), (4, 3), (5, 3)], 3):
-        if not alternating_row_sum_check(s):
-            return CheckResult("arrow-row-sums", False, {"state": state_to_json(s), "which": "plain"})
-        if not shifted_alternating_row_sum_check(s):
-            return CheckResult("arrow-row-sums", False, {"state": state_to_json(s), "which": "shifted"})
-    return CheckResult("arrow-row-sums", True, {})
+        ck.eq("alternating first-row sum", s, alternating_row_sum_check(s), True)
+        ck.eq("shifted alternating first-row sum", s, shifted_alternating_row_sum_check(s), True)
+    return {}
 
 
 @check("second-row", "appendix")
-def _second_row(rng, fault=False):
+def _second_row(rng, ck):
     for s in _states(rng, [(3, 1), (4, 2), (5, 3)], 2):
-        ok = second_row_check(s)
-        if ok and fault:
-            # corrupt one I entry: the band coefficient no longer matches
-            # the first-row product, proving the check has teeth
-            rows = [list(r) for r in s.I]
-            rows[0][0] += 1
-            broken = TodaState(N=s.N, M=s.M, V=s.V, I=tuple(tuple(r) for r in rows), t=s.t)
-            params = band_params(s)
-            ok = params.b(1) == broken.v(1) * u_row(broken, broken.M)[0]
-        if not ok:
-            return CheckResult("second-row", False, {"state": state_to_json(s),
-                                                     "beta_1": q_str(band_params(s).b(1))})
-    return CheckResult("second-row", True, {})
+        ck.eq("second row of X in band coefficients", s, second_row_check(s), True)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -374,128 +366,104 @@ def _second_row(rng, fault=False):
 
 
 @check("antitranspose", "divisor")
-def _antitr(rng, fault=False):
+def _antitr(rng, ck):
     for s in _states(rng, [(2, 1), (4, 2), (3, 2)], 2):
         X = transfer_matrix(s)
-        if antitranspose(antitranspose(X)) != X:
-            return CheckResult("antitranspose", False, {"state": state_to_json(s), "note": "involution"})
-        if char_poly(antitranspose(X), s.N, s.M).phi != char_poly(X, s.N, s.M).phi:
-            return CheckResult("antitranspose", False, {"state": state_to_json(s), "note": "spectrum"})
-    return CheckResult("antitranspose", True, {})
+        ck.eq("X** = X", s, antitranspose(antitranspose(X)), X)
+        ck.eq("phi of X* = phi of X", s,
+              char_poly(antitranspose(X), s.N, s.M).phi, char_poly(X, s.N, s.M).phi)
+    return {}
 
 
 @check("shift-conjugation", "divisor")
-def _shift_conj(rng, fault=False):
+def _shift_conj(rng, ck):
     for s in _states(rng, [(2, 1), (3, 2), (4, 2), (5, 2)], 2):
         X = transfer_matrix(s)
         C = shift_conjugation_matrix(s.N)
         Ci = shift_conjugation_matrix(s.N, inverse=True)
-        if (C @ X) @ Ci != operator_matrix(s, "shift"):
-            return CheckResult("shift-conjugation", False, {"state": state_to_json(s)})
+        ck.eq("C X C^-1 = X of sigma^-1 s", s, (C @ X) @ Ci, operator_matrix(s, "shift"))
         cur = s
         for _ in range(s.N):
             cur = index_shift(cur, 1)
-        if cur != s:
-            return CheckResult("shift-conjugation", False, {"state": state_to_json(s), "note": "order"})
-        if spectral_data(index_shift(s, 1)).phi != spectral_data(s).phi:
-            return CheckResult("shift-conjugation", False, {"state": state_to_json(s), "note": "spectrum"})
-    return CheckResult("shift-conjugation", True, {})
+        ck.eq("sigma^N s = s", s, cur, s)
+        ck.eq("phi of sigma s = phi of s", s, spectral_data(index_shift(s, 1)).phi, spectral_data(s).phi)
+    return {}
 
 
 @check("display-correspondence-n4m2", "divisor")
-def _example_display(rng, fault=False):
-    from .lax import band_params_of_matrix
-
+def _example_display(rng, ck):
     s = random_state(4, 2, rng)
-    X = transfer_matrix(s)
-    p = band_params(s, X)
-    shifted = index_shift(s, -1)
-    Xm = transfer_matrix(shifted)
-    q = band_params_of_matrix(antitranspose(Xm), 4, 2)
-    ok = (
-        all(q.a(1, i) == p.a(1, 4 - i) for i in range(1, 5))
-        and all(q.a(2, i) == p.a(2, 1 - i) for i in range(1, 5))
-        and all(q.b(i) == p.b(3 - i) for i in range(1, 5))
-    )
-    if not ok:
-        return CheckResult("display-correspondence-n4m2", False, {"state": state_to_json(s)})
-    return CheckResult("display-correspondence-n4m2", True, {})
+    p = band_params(s, transfer_matrix(s))
+    q = band_params_of_matrix(antitranspose(transfer_matrix(index_shift(s, -1))), 4, 2)
+    cols = range(1, 5)
+    ck.eq("alpha^(1)_i of (sigma^-1 X)* = alpha^(1)_(4-i) of X", s,
+          [q.a(1, i) for i in cols], [p.a(1, 4 - i) for i in cols])
+    ck.eq("alpha^(2)_i of (sigma^-1 X)* = alpha^(2)_(1-i) of X", s,
+          [q.a(2, i) for i in cols], [p.a(2, 1 - i) for i in cols])
+    ck.eq("beta_i of (sigma^-1 X)* = beta_(3-i) of X", s, [q.b(i) for i in cols], [p.b(3 - i) for i in cols])
+    return {}
 
 
 @check("corner-resultants", "divisor")
-def _corner_res(rng, fault=False):
+def _corner_res(rng, ck):
     degs = {}
     for (N, M) in SMALL_CORPUS:
         s = random_state(N, M, rng)
         g = genus(N, M)
-        try:
-            R, S = compute_R_S(s)
-        except NonGenericDataError as exc:
-            return CheckResult("corner-resultants", False, {"state": state_to_json(s), "error": str(exc)})
+        R, S = compute_R_S(s)
+        ck.eq("[deg R, deg S] = [2g, 2g]", s, [R.degree, S.degree], [2 * g, 2 * g])
         degs[f"{N},{M}"] = [R.degree, S.degree, 2 * g]
-    return CheckResult("corner-resultants", True, {"degrees": degs})
+    return {"degrees": degs}
 
 
 @check("divisor-degree", "divisor")
-def _div_deg(rng, fault=False):
+def _div_deg(rng, ck):
     for (N, M) in SMALL_CORPUS:
         s = random_state(N, M, rng)
         g = genus(N, M)
         for variant in VARIANTS:
-            dp = divisor_poly(s, variant)
-            if dp.degree != g:
-                return CheckResult("divisor-degree", False,
-                                   {"state": state_to_json(s), "variant": variant, "deg": dp.degree})
-    return CheckResult("divisor-degree", True, {})
+            ck.eq(f"deg U of {variant} = g", s, divisor_poly(s, variant).degree, g)
+    return {}
 
 
 @check("corner-factorizations", "divisor")
-def _factorizations(rng, fault=False):
+def _factorizations(rng, ck):
     for (N, M) in SMALL_CORPUS:
         s = random_state(N, M, rng)
         res = zeros_factorization_check(s)
-        if not all(res.values()):
-            return CheckResult("corner-factorizations", False,
-                               {"state": state_to_json(s), "results": res})
-    return CheckResult("corner-factorizations", True, {})
+        ck.eq("corner-resultant factorizations", s, res, dict.fromkeys(res, True))
+    return {}
 
 
 @check("divisor-track", "divisor")
-def _div_track(rng, fault=False):
+def _div_track(rng, ck):
     s = random_state(2, 1, rng)
     track = track_divisor(s, 6)
     sums = [q_str(dp.x_sum()) for dp in track]
-    if any(dp.degree != 1 for dp in track):
-        return CheckResult("divisor-track", False, {"state": state_to_json(s), "sums": sums})
-    if len(set(sums)) < 2:
-        return CheckResult("divisor-track", False,
-                           {"state": state_to_json(s), "note": "coefficient did not move", "sums": sums})
+    ck.eq("deg U along the track", s, [dp.degree for dp in track], [1] * len(track))
+    ck.eq("the divisor x-sum moves", s, len(set(sums)) > 1, True)
     one = TodaState(N=1, M=1, V=(Q(1),), I=((Q(2),),))
-    if any(dp.degree != 0 for dp in track_divisor(one, 3)):
-        return CheckResult("divisor-track", False, {"note": "g=0 track not constant"})
-    return CheckResult("divisor-track", True, {"sums": sums})
+    ck.eq("deg U along a g=0 track", one, [dp.degree for dp in track_divisor(one, 3)], [0] * 4)
+    return {"sums": sums}
 
 
 @check("common-zero-support", "divisor")
-def _common_zero(rng, fault=False, tol=None):
+def _common_zero(rng, ck):
     for (N, M) in ((2, 1), (3, 1), (3, 2)):
         s = random_state(N, M, rng)
-        if not common_zero_support_check(s, tol=tol or 1e-8):
-            return CheckResult("common-zero-support", False, {"state": state_to_json(s)})
-    return CheckResult("common-zero-support", True, {})
+        ck.eq("every D_Nk vanishes at the common zeros of D_N1 and D_NN", s,
+              common_zero_support_check(s, tol=ck.tol(1e-8)), True)
+    return {}
 
 
 @check("smoothness-probe", "divisor")
-def _smooth(rng, fault=False):
+def _smooth(rng, ck):
     s = random_state(2, 1, rng, generic=lambda st: st.i(1) * st.i(2) != st.v(1) * st.v(2))
-    probe = smoothness_probe(spectral_data(s))
-    if not probe["likely_smooth"]:
-        return CheckResult("smoothness-probe", False, {"state": state_to_json(s), "probe": str(probe)})
+    ck.eq("generic curve likely smooth", s, smoothness_probe(spectral_data(s))["likely_smooth"], True)
     planted = TodaState(N=2, M=1, V=(Q(1), Q(1)), I=((Q(2), Q(2)),))
-    probe2 = smoothness_probe(spectral_data(planted))
-    if probe2["likely_smooth"]:
-        return CheckResult("smoothness-probe", False, {"note": "planted double point missed"})
-    return CheckResult("smoothness-probe", True, {"witnesses": len(probe2["witnesses"])})
+    probe = smoothness_probe(spectral_data(planted))
+    ck.eq("planted double point found", planted, probe["likely_smooth"], False)
+    return {"witnesses": len(probe["witnesses"])}
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +472,7 @@ def _smooth(rng, fault=False):
 
 
 @check("theta-series", "theta")
-def _theta_series(rng, fault=False):
-    import cmath
-    import math
-
+def _theta_series(rng, ck):
     worst = 0.0
     for _ in range(50):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 2.0))
@@ -517,26 +482,30 @@ def _theta_series(rng, fault=False):
         worst = max(worst, abs(riemann_theta(z + 1, tau) - t0))
         quasi = cmath.exp(-1j * math.pi * tau - 2j * math.pi * z) * t0
         worst = max(worst, abs(riemann_theta(z + tau, tau) - quasi) / max(1.0, abs(quasi)))
-    return CheckResult("theta-series", worst < 1e-10, {"max_residual": worst})
+    ck.le("theta parity and quasi-periodicity residual", None, worst, 1e-10)
+    return {"max_residual": worst}
 
 
 @check("theta-reproduction", "theta")
-def _theta_repro(rng, fault=False, tol=None):
-    for attempt in range(6):
+def _theta_repro(rng, ck):
+    tol = ck.tol(1e-6)
+    for _ in range(6):
         s = random_state(2, 1, rng)
         try:
-            rep = theta_check(s, steps=6, tol=tol or 1e-6)
+            rep = theta_check(s, steps=6, tol=tol)
         except (NumericFailureError, SingularCurveError, NonGenericDataError):
             continue
-        detail = {
+        ck.le("max_abs_err", s, rep["max_abs_err"], tol)
+        ck.le("torsion_residual", s, rep["torsion_residual"], PRINCIPAL_DIVISOR_TOL)
+        ck.le("x_divisor_residual", s, rep["x_divisor_residual"], PRINCIPAL_DIVISOR_TOL)
+        return {
             "state": state_to_json(s),
             "max_abs_err": rep["max_abs_err"],
             "torsion_residual": rep["torsion_residual"],
             "x_divisor_residual": rep["x_divisor_residual"],
             "time_mode": f"{rep['time_mode']}{rep['time_sign']:+d}",
         }
-        return CheckResult("theta-reproduction", rep["pass"], detail)
-    return CheckResult("theta-reproduction", False, {"note": "no generic state found"})
+    raise NonGenericDataError("no generic (2,1) state in 6 draws")
 
 
 SUITES = {"core", "lax", "appendix", "divisor", "theta"}
@@ -546,11 +515,9 @@ def run_suite(suite: str, seed: int, inject_fault: str | None = None,
               tol: float | None = None) -> dict:
     """Run one suite (or "all"), returning a JSON-ready deterministic report.
 
-    ``tol`` overrides the tolerance of the numeric screens (checks that
-    only assert exact identities ignore it).
+    ``inject_fault`` names a check whose first comparison is corrupted;
+    ``tol`` overrides the tolerance of the numeric screens that read it.
     """
-    import inspect
-
     if suite != "all" and suite not in SUITES:
         raise PdTodaError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     if inject_fault is not None and inject_fault not in CHECKS:
@@ -558,36 +525,34 @@ def run_suite(suite: str, seed: int, inject_fault: str | None = None,
     selected = sorted(
         name for name, (_, suites) in CHECKS.items() if suite == "all" or suite in suites
     )
-    results = []
+    checks = []
     for name in selected:
         fn, _ = CHECKS[name]
-        rng = random.Random(f"{seed}:{name}")
-        kwargs = {"fault": inject_fault == name}
-        if "tol" in inspect.signature(fn).parameters:
-            kwargs["tol"] = tol
+        ck = Comparer(corrupt=inject_fault == name, tol=tol)
         try:
-            res = fn(rng, **kwargs)
+            passed, details = True, fn(random.Random(f"{seed}:{name}"), ck)
+        except _Mismatch as exc:
+            passed, details = False, exc.details
         except PdTodaError as exc:
-            res = CheckResult(name, False, {"error": str(exc)})
-        results.append(res)
+            passed, details = False, {"error": str(exc)}
+        checks.append({"name": name, "passed": passed, "details": _jsonable(details)})
+    failed = sum(1 for c in checks if not c["passed"])
     return {
         "suite": suite,
         "seed": seed,
-        "passed": all(r.passed for r in results),
-        "counts": {
-            "total": len(results),
-            "failed": sum(1 for r in results if not r.passed),
-        },
-        "checks": [
-            {"name": r.name, "passed": r.passed, "details": _jsonable(r.details)}
-            for r in results
-        ],
+        "passed": failed == 0,
+        "counts": {"total": len(checks), "failed": failed},
+        "checks": checks,
     }
 
 
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, TodaState):
+        return state_to_json(obj)
+    if isinstance(obj, LaurentMatrix):
+        obj = obj.entries
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (int, float, str, bool)) or obj is None:

@@ -16,8 +16,9 @@ from pdtoda.arrows import (
     u_row_matrix_oracle,
 )
 from pdtoda.errors import PdTodaError
+from pdtoda.lax import band_params
 from pdtoda.rationals import ONE
-from pdtoda.toda import random_state
+from pdtoda.toda import TodaState, random_state
 
 
 def test_u_row_level_one():
@@ -123,6 +124,20 @@ def test_second_row_band_coefficients(N, M):
     rng = random.Random(62 + N)
     for _ in range(3):
         assert second_row_check(random_state(N, M, rng))
+
+
+@pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])
+def test_second_row_detects_a_corrupted_i(N, M):
+    # beta_1 = V_1 u_1^(M) holds for the state X was built from, and breaks
+    # once I_1^(0) is moved
+    rng = random.Random(64 + N)
+    s = random_state(N, M, rng)
+    params = band_params(s)
+    rows = [list(r) for r in s.I]
+    rows[0][0] += 1
+    broken = TodaState(N=s.N, M=s.M, V=s.V, I=tuple(tuple(r) for r in rows), t=s.t)
+    assert params.b(1) == s.v(1) * u_row(s, M)[0]
+    assert params.b(1) != broken.v(1) * u_row(broken, M)[0]
 
 
 def test_row_sum_checks_demand_banded_regime():

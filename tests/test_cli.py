@@ -118,6 +118,15 @@ def test_exit_code_on_invalid_state(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("entry", ["1/0", "0.5", "1e3", "1_000", " 3/4 "])
+def test_exit_code_on_malformed_rational(tmp_path, entry):
+    bad = tmp_path / "rational.json"
+    bad.write_text(json.dumps({"N": 2, "M": 1, "t": 0, "V": [entry, "1/2"], "I": [["3", "4"]]}))
+    r = run_cli("spectrum", "--input", str(bad))
+    assert r.returncode == 2
+    assert "malformed rational" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_exit_code_on_missing_file():
     r = run_cli("spectrum", "--input", "/nonexistent/state.json")
     assert r.returncode == 2

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pdtoda import divisor
 from pdtoda.divisor import (
     VARIANTS,
     common_zero_support_check,
@@ -149,6 +150,25 @@ def test_zeros_factorizations(N, M):
     rng = random.Random(80 + N * 10 + M)
     res = zeros_factorization_check(random_state(N, M, rng))
     assert all(res.values()), res
+
+
+@pytest.mark.parametrize("N,M", [(2, 1), (4, 2)])
+def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
+    # one phi serves all five operators; only X, sigma^-1 X and sigma X
+    # need a transfer matrix
+    calls = {"char_poly": 0, "transfer_matrix": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(divisor, name, spy(name, getattr(divisor, name)))
+    res = zeros_factorization_check(random_state(N, M, random.Random(86)))
+    assert all(res.values()), res
+    assert calls == {"char_poly": 1, "transfer_matrix": 3}
 
 
 def test_double_minor_identity_is_part_of_report():

@@ -5,6 +5,7 @@ import pytest
 from pdtoda.bilaurent import BiLaurent
 from pdtoda.errors import PdTodaError
 from pdtoda.lax import (
+    BandParams,
     band_params,
     banded_template,
     bloch_basis,
@@ -87,6 +88,16 @@ def test_banded_shape_4_2():
     # lower-left block is proportional to y
     assert X.entry(3, 1).y_min() == 1
     assert X.entry(4, 2).y_min() == 1
+
+
+@pytest.mark.parametrize("N,M", [(2, 1), (3, 2), (5, 3)])
+def test_banded_template_detects_a_corrupted_beta(N, M):
+    rng = random.Random(34 + N)
+    s = random_state(N, M, rng)
+    X = transfer_matrix(s)
+    p = band_params(s, X)
+    beta = (p.beta[0] + 1,) + p.beta[1:]
+    assert banded_template(BandParams(N=N, M=M, alpha=p.alpha, beta=beta)) != X
 
 
 def test_char_poly_hand_expansion_n1m1():

@@ -100,9 +100,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_divisor(args) -> int:
     state = _read_state(args.input)
-    sd = spectral_data(state)
     track = track_divisor(state, args.steps)
-    _emit(divisor_report(track, sd.g), args.output)
+    # U is monic of degree g at every step
+    _emit(divisor_report(track, track[0].degree), args.output)
     return EXIT_OK
 
 

@@ -171,13 +171,25 @@ class DivisorPoly:
         return -self.poly.coeff(g - 1)
 
 
-def divisor_poly(state: TodaState, variant: str = "X") -> DivisorPoly:
-    """U = gcd_monic(R, S) for the chosen operator; monic of degree g."""
+def divisor_poly(state: TodaState, variant: str = "X", *,
+                 curve: SpectralData | None = None) -> DivisorPoly:
+    """U = gcd_monic(R, S) for the chosen operator; monic of degree g.
+
+    ``curve`` is the state's spectral data when the caller already has it:
+    phi is conserved by the flow, so one curve serves a whole trajectory.
+    Without it the curve is built from the state's own X.
+    """
     require_valid(state)
     X = transfer_matrix(state)
-    sd = char_poly(X, state.N, state.M)
+    if curve is None:
+        sd = char_poly(X, state.N, state.M)
+    elif (curve.N, curve.M) != (state.N, state.M):
+        raise PdTodaError(f"curve of shape ({curve.N},{curve.M}) given for "
+                          f"a ({state.N},{state.M}) state")
+    else:
+        sd = curve
     if sd.g and variant != "X":
-        X = operator_matrix(state, variant)
+        X = antitranspose(X) if variant == "Xstar" else operator_matrix(state, variant)
     return _divisor_of(X, sd, variant, state.t)
 
 
@@ -299,12 +311,21 @@ def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
 
 
 def track_divisor(state: TodaState, steps: int) -> list:
-    """U_t for t = 0..steps along the exact trajectory."""
+    """U_t for t = 0..steps along the exact trajectory.
+
+    phi is conserved by the flow, so the curve is built once, at t = 0, and
+    every step's ``divisor_poly`` takes it; each step still validates its
+    state and builds its own X_t for the corner minors.  Isospectrality has
+    its own exact check in ``verify``.
+    """
     out = []
     s = state
+    sd = None
     for k in range(steps + 1):
         try:
-            out.append(divisor_poly(s, "X"))
+            if sd is None:
+                sd = spectral_data(s)
+            out.append(divisor_poly(s, "X", curve=sd))
         except NonGenericDataError as exc:
             raise NonGenericDataError(f"at step {k}: {exc}") from exc
         if k < steps:

@@ -16,11 +16,13 @@ equivalently the determinant of the Sylvester matrix whose first deg(q)
 rows carry the coefficients of p.  For speed the determinant in y with
 x-polynomial entries is computed over the integers (Collins' evaluation
 scheme): denominators are cleared once, the integer Sylvester matrix is
-evaluated at x = 0, 1, ..., its determinants are taken by fraction-free
+evaluated at x = 0, 1, ..., b, its determinants are taken by fraction-free
 Bareiss elimination with exact integer division, and the samples are
-interpolated by integer forward differences.  Every step is exact, so no
-moduli or coefficient bounds are involved.  A direct expansion over
-x-polynomials is kept as the test oracle.
+interpolated by integer forward differences.  The degree bound b is the
+assignment bound, the largest sum of entry degrees over the permutations
+that avoid zero entries, which no term of Leibniz's expansion exceeds.
+Every step is exact, so no moduli or coefficient bounds are involved.  A
+direct expansion over x-polynomials is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -298,8 +300,10 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     Equals lead(p)^deg(q) * prod_i q(y_i) over the y-roots of p.  With
     p = P / Dp and q = Q / Dq for integer polynomials P, Q, the Sylvester
     determinant of (P, Q) is an integer polynomial in x of degree at most
-    the sum of the row degrees; it is sampled at that many + 1 integer
-    points and divided once by Dp^deg(q) * Dq^deg(p).
+    the assignment bound: the largest sum of entry degrees over the
+    permutations that avoid zero entries.  It is sampled at bound + 1
+    integer points and divided once by Dp^deg(q) * Dq^deg(p); when no
+    permutation avoids the zero entries the resultant is zero.
     """
     pc = _y_poly(p)
     qc = _y_poly(q)
@@ -312,14 +316,37 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
         return pc[0] ** dq
     pi, dp_den = _cleared(pc)
     qi, dq_den = _cleared(qc)
-    # the sum of the row degrees: dq rows of p's coefficients, dp rows of q's
-    bound = dq * (max(len(c) for c in pi) - 1) + dp * (max(len(c) for c in qi) - 1)
+    degrees = [[len(c) - 1 if c else None for c in f] for f in (pi, qi)]
+    bound = _degree_bound(_sylvester(*degrees, None))
+    if bound is None:
+        return UniPoly()
     samples = []
     for s in range(bound + 1):
         rows = _sylvester([_eval_int(c, s) for c in pi], [_eval_int(c, s) for c in qi], 0)
         samples.append(_int_det(rows))
     den = dp_den ** dq * dq_den ** dp
     return UniPoly(Q(c, den) for c in _int_interpolate(samples))
+
+
+def _degree_bound(degrees):
+    """Largest sum of entry degrees over the permutations of a square
+    matrix that avoid its zero entries (``None`` in ``degrees``), or None
+    when every permutation meets a zero.
+
+    By Leibniz's expansion the determinant has no higher degree.  The
+    maximum is taken by the column-subset recursion of ``_det_subsets``:
+    the best partial sum over rows 0..k-1 for each set of used columns.
+    """
+    best = {0: 0}
+    for row in degrees:
+        nxt = {}
+        for mask, total in best.items():
+            for j, d in enumerate(row):
+                bit = 1 << j
+                if d is not None and not mask & bit and nxt.get(mask | bit, -1) < total + d:
+                    nxt[mask | bit] = total + d
+        best = nxt
+    return best.get((1 << len(degrees)) - 1)
 
 
 def _cleared(coeffs):

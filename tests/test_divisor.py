@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from pdtoda import divisor
+from pdtoda import cli, divisor, lax, lmatrix
 from pdtoda.divisor import (
     VARIANTS,
     common_zero_support_check,
@@ -17,10 +19,11 @@ from pdtoda.divisor import (
     track_divisor,
     zeros_factorization_check,
 )
+from pdtoda.errors import PdTodaError
 from pdtoda.lax import band_params_of_matrix, char_poly, spectral_data, transfer_matrix
 from pdtoda.lmatrix import antitranspose
-from pdtoda.toda import TodaState, index_shift, random_state
-from pdtoda.unipoly import UniPoly, roots_numeric
+from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json
+from pdtoda.unipoly import UniPoly, gcd_monic, roots_numeric
 
 
 def test_antitranspose_preserves_spectrum():
@@ -152,20 +155,27 @@ def test_zeros_factorizations(N, M):
     assert all(res.values()), res
 
 
+def _call_counter(monkeypatch, targets):
+    """Replace each (module, name) in ``targets`` by a wrapper counting its
+    calls in one shared dict keyed by name."""
+    calls = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
+
+
 @pytest.mark.parametrize("N,M", [(2, 1), (4, 2)])
 def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
     # one phi serves all five operators; only X, sigma^-1 X and sigma X
     # need a transfer matrix
-    calls = {"char_poly": 0, "transfer_matrix": 0}
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in calls:
-        monkeypatch.setattr(divisor, name, spy(name, getattr(divisor, name)))
+    calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (divisor, "transfer_matrix")])
     res = zeros_factorization_check(random_state(N, M, random.Random(86)))
     assert all(res.values()), res
     assert calls == {"char_poly": 1, "transfer_matrix": 3}
@@ -250,3 +260,98 @@ def test_exact_core_matches_oracles_on_grown_heights(N, M):
     U = gcd_monic(R, S)
     assert U == gcd_monic_euclid(R, S)
     assert U == divisor_poly(s).poly and U.degree == spectral_data(s).g
+
+
+def _grown_state(N, M, seed, steps=0):
+    s = random_state(N, M, random.Random(seed))
+    for _ in range(steps):
+        s = evolve(s)
+    return s
+
+
+def test_track_divisor_builds_the_curve_once(monkeypatch):
+    # phi is conserved, so a track of 11 steps needs one char_poly; every
+    # step's U still comes from divisor_poly, given that curve
+    calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (lax, "char_poly"),
+                                        (divisor, "divisor_poly")])
+    track = track_divisor(_grown_state(4, 2, 95), 10)
+    assert len(track) == 11 and all(dp.degree == 4 for dp in track)
+    assert calls == {"char_poly": 1, "divisor_poly": 11}
+
+
+def test_divisor_poly_refuses_a_curve_of_another_shape():
+    s = _grown_state(4, 2, 95)
+    with pytest.raises(PdTodaError, match="shape"):
+        divisor_poly(s, curve=spectral_data(_grown_state(4, 3, 95)))
+
+
+def test_divisor_command_builds_the_curve_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(_grown_state(4, 2, 95)), encoding="utf-8")
+    calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (lax, "char_poly")])
+    assert cli.main(["divisor", "--input", str(path), "--steps", "10"]) == 0
+    assert calls == {"char_poly": 1}
+    assert json.loads(capsys.readouterr().out)["g"] == 4
+
+
+def test_xstar_divisor_reuses_x(monkeypatch):
+    # X* = antitranspose(X) comes from the X that phi was built from
+    s = _grown_state(4, 2, 95)
+    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix")])
+    U = divisor_poly(s, "Xstar").poly
+    assert calls == {"transfer_matrix": 1}
+    monkeypatch.undo()
+    # oracle: the operator rebuilt from the state, with its own curve
+    assert U == gcd_monic(*compute_R_S(operator_matrix(s, "Xstar"), 4, 2, 4))
+
+
+@pytest.mark.parametrize("N, M", [(5, 2), (4, 3)])
+def test_corner_resultants_take_2g_plus_1_samples(N, M, monkeypatch):
+    # the assignment bound of these Sylvester matrices is 2g, the true
+    # degree, so each resultant evaluates 2g + 1 integer determinants
+    s = _grown_state(N, M, 7, steps=10)
+    X = transfer_matrix(s)
+    sd = spectral_data(s)
+    for i, j in ((N, N), (1, N)):
+        minor = corner_minor(X, i, j).mul_y(1)
+        calls = _call_counter(monkeypatch, [(lmatrix, "_int_det")])
+        res = lmatrix.resultant_y(sd.phi_cleared, minor)
+        monkeypatch.undo()
+        assert calls == {"_int_det": 2 * sd.g + 1} and res.degree == 2 * sd.g
+
+
+#: sha256 of json.dumps([step["upsilon"] for step in report["steps"]]) of
+#: `divisor --steps 10` on random_state(N, M, Random(95)), with the t = 0 U
+PINNED_TRACKS = {
+    (4, 2): ("2db58f54c6856365f34e5e0ac8f7678c64f3ac0dbb14e45b2598d774f70ea053",
+             ["-53060859621/27350", "10968575607/109400", "486184569/218800",
+              "-326871/2735", "1"]),
+    (5, 2): ("5f4a605b3a3f79306f07bd56bc2e2b1dd6cc9dd30abf774771fc6182076fdd5a",
+             ["194141636067089947/10372320000", "-2703643868784287789/248935680000",
+              "-155712515497669567/248935680000", "4352846935037411/15558480000",
+              "-2140722598163/148176000", "6275519/58800", "1"]),
+    (4, 3): ("2b1c9559dc2ffb4ebb10f9b904d7190d571ebaff67ab349461e260551b6a8182",
+             ["237211664800915155451617/480200000", "134495813858892964339257/53782400000",
+              "-53843291475541477594551/107564800000", "3621687655022511849/960400000",
+              "-179669901200809/27440000", "-261783301/98000", "1"]),
+}
+
+
+@pytest.mark.parametrize("N, M", sorted(PINNED_TRACKS))
+def test_track_matches_per_state_divisors_and_pinned_upsilon(N, M, tmp_path, capsys):
+    # oracle: every U of the track equals divisor_poly of the state evolved
+    # to that step, which builds its own X and its own curve
+    s = _grown_state(N, M, 95)
+    track = track_divisor(s, 10)
+    cur = s
+    for dp in track:
+        assert dp.t == cur.t and dp.poly == divisor_poly(cur).poly
+        cur = evolve(cur)
+
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(s), encoding="utf-8")
+    assert cli.main(["divisor", "--input", str(path), "--steps", "10"]) == 0
+    upsilon = [step["upsilon"] for step in json.loads(capsys.readouterr().out)["steps"]]
+    digest, first = PINNED_TRACKS[N, M]
+    assert upsilon[0] == first
+    assert hashlib.sha256(json.dumps(upsilon).encode()).hexdigest() == digest

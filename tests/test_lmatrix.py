@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtoda import lmatrix
 from pdtoda.bilaurent import BiLaurent
 from pdtoda.errors import DimensionError, PdTodaError
 from pdtoda.lmatrix import (
@@ -215,10 +216,48 @@ _y_polys = st.lists(_x_polys, min_size=1, max_size=4).map(_poly_in_y).filter(
 )
 
 
-@given(_y_polys, _y_polys)
-@settings(max_examples=150, deadline=None)
+# x-polynomials with zero constant terms and zero y-coefficients anywhere
+# (the middle ones included): there the assignment bound of the Sylvester
+# degrees falls below the row and the column sums
+_sparse_x_polys = st.one_of(
+    st.just(UniPoly()),
+    st.lists(st.one_of(st.just(Q(0)), _rationals), min_size=1, max_size=4).map(UniPoly),
+)
+_sparse_y_polys = st.lists(_sparse_x_polys, min_size=1, max_size=5).map(_poly_in_y).filter(
+    lambda p: not p.is_zero()
+)
+
+
+@given(st.one_of(_y_polys, _sparse_y_polys), st.one_of(_y_polys, _sparse_y_polys))
+@settings(max_examples=300, deadline=None)
 def test_integer_resultant_matches_direct_expansion(p, q):
+    # resultant_y interpolates through bound + 1 samples, so equality also
+    # shows that the assignment bound is at least the true degree
     assert resultant_y(p, q) == resultant_y_direct(p, q)
+
+
+def test_resultant_is_zero_when_no_permutation_avoids_zeros(monkeypatch):
+    # p and q share the root y = 0, so the last Sylvester column is zero:
+    # no sample is taken and the result is the zero polynomial
+    p = _poly_in_y([UniPoly(), UniPoly([1, 2]), UniPoly([0, 3])])
+    q = _poly_in_y([UniPoly(), UniPoly([5]), UniPoly([1, 0, 1])])
+    evaluated = []
+    monkeypatch.setattr(lmatrix, "_int_det", lambda a: evaluated.append(a))
+    assert resultant_y(p, q) == UniPoly() == resultant_y_direct(p, q)
+    assert evaluated == []
+
+
+def test_assignment_bound_is_below_row_and_column_sums(monkeypatch):
+    # Sylvester degrees [[2, 0], [0, -]]: the row and the column sums are 2,
+    # but the one permutation avoiding the zero entry has degree 0, so one
+    # sample suffices
+    p = _poly_in_y([UniPoly([1]), UniPoly([0, 0, 1])])       # x^2 y + 1
+    q = _poly_in_y([UniPoly(), UniPoly([1])])                # y
+    calls = []
+    int_det = lmatrix._int_det
+    monkeypatch.setattr(lmatrix, "_int_det", lambda a: calls.append(a) or int_det(a))
+    assert resultant_y(p, q) == resultant_y_direct(p, q) == UniPoly([-1])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dp, dq", [(0, 0), (0, 2), (2, 0), (1, 1), (3, 2)])

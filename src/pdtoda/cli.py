@@ -35,9 +35,9 @@ from .toda import (
     conserved_products,
     evolve,
     random_state,
+    require_valid,
     state_from_json,
     state_to_dict,
-    validate,
 )
 from .theta import theta_check
 from .verify import run_suite
@@ -55,9 +55,7 @@ def _read_state(path: str):
     except OSError as exc:
         raise PdTodaError(f"cannot read {path}: {exc}") from exc
     state = state_from_json(text)
-    report = validate(state)
-    if not report.ok:
-        raise StateValidationError(report.violations)
+    require_valid(state)
     return state
 
 

@@ -288,11 +288,11 @@ def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
     """At each common zero of {D_N1, D_NN} on the curve, every D_Nk
     (k = 1..N) vanishes as well; numeric screen at the sampled roots."""
     require_valid(state)
-    sd = spectral_data(state)
+    X = transfer_matrix(state)
+    sd = char_poly(X, state.N, state.M)
     if sd.g == 0:
         return True
     N = sd.N
-    X = transfer_matrix(state)
     phi = sd.phi_cleared
     r_n1 = minor_resultant(phi, corner_minor(X, N, 1))
     r_nn = minor_resultant(phi, corner_minor(X, N, N))

@@ -185,9 +185,6 @@ class EllipticModel:
 
     # -- curve geometry --------------------------------------------------
 
-    def y_from_w(self, x: complex, w: complex) -> complex:
-        return (horner(self._qc, x) + w) / 2
-
     def w_from_y(self, x: complex, y: complex) -> complex:
         return 2 * y - horner(self._qc, x)
 

@@ -10,13 +10,31 @@ solved row.  The update equations are
 
 cyclically in n, where I is the oldest stored I-row.  Eliminating Vnew
 gives the cyclic recurrence  Inew_n = I_n + V_n - I_n V_{n-1} / Inew_{n-1},
-which linearizes: writing Inew_n = V_n s_{n+1} / s_n, the differences
-u_n = s_{n+1} - s_n satisfy u_n = (I_n / V_n) u_{n-1}, so the periodic
-solution is an explicit geometric-sum formula.  The branch is fixed by
-requiring prod(Inew) = prod(I) (the conserved choice); the discarded
-branch has prod(Inew) = prod(V), excluded by the strict inequality
-prod(V) < prod(I).  For valid states all s_n are positive, so the update
-preserves positivity and never hits a zero pivot.
+which linearizes: writing Inew_n = V_n s_{n+2} / s_{n+1}, the differences
+u_n = s_{n+1} - s_n satisfy u_{n+1} = (I_n / V_n) u_n.  The branch is
+fixed by requiring prod(Inew) = prod(I) (the conserved choice), which is
+the Bloch closure s_{n+N} = lam s_n, u_{n+N} = lam u_n with
+lam = prod(I) / prod(V); the discarded branch has prod(Inew) = prod(V),
+excluded by the strict inequality prod(V) < prod(I).
+
+The solver works with the ratio sigma_n = s_n / u_n, which is N-periodic
+and obeys the affine recurrence
+
+    sigma_{n+1} = (sigma_n + 1) c_n,      c_n = V_n / I_n.
+
+Composing it once around the period gives sigma_N = P sigma_0 + z, where
+P = prod(V) / prod(I) < 1 and z is the Horner chain z <- (z + 1) c_n
+started from 0, so the periodic solution is the fixed point
+
+    sigma_0 = z / (1 - P).
+
+The new rows follow from rho_n = s_{n+2} / s_{n+1} = 1 + 1/sigma_{n+1} as
+Inew_n = V_n rho_n and Vnew_n = I_{n+1} / rho_n.  P is built from the
+products prod(V) and prod(I-row 0) that validation has just computed for
+its inequalities; they are conserved, so they stay small while the entries
+grow.  For valid states every c_n, z and 1 - P is positive, hence every
+sigma_n is positive and rho_n > 1: the update preserves positivity and
+never divides by zero.
 """
 
 from __future__ import annotations
@@ -25,12 +43,11 @@ import json
 import random
 from dataclasses import dataclass
 from .errors import (
-    DegenerateEvolutionError,
     NumericFailureError,
     PdTodaError,
     StateValidationError,
 )
-from .rationals import ONE, Q, as_q, q_str
+from .rationals import ONE, ZERO, Q, as_q, q_str
 from functools import reduce
 
 
@@ -71,6 +88,9 @@ class TodaState:
 class ValidationReport:
     ok: bool
     violations: tuple
+    #: the conserved products (prod V, prod I-row 0, ..., prod I-row M-1)
+    #: computed for the inequalities; empty when an entry is not positive
+    products: tuple = ()
 
 
 def validate(state: TodaState) -> ValidationReport:
@@ -89,21 +109,25 @@ def validate(state: TodaState) -> ValidationReport:
         for n, x in enumerate(row, start=1):
             if x <= 0:
                 problems.append(f"I_{n}^(t+{k}) = {q_str(x)} is not positive")
+    products = ()
     if not problems:
-        pv = prod(state.V)
-        for k, row in enumerate(state.I):
-            pi = prod(row)
+        products = conserved_products(state)
+        pv = products[0]
+        for k, pi in enumerate(products[1:]):
             if not pv < pi:
                 problems.append(
                     f"prod(V) = {q_str(pv)} not < prod(I-row {k}) = {q_str(pi)}"
                 )
-    return ValidationReport(ok=not problems, violations=tuple(problems))
+    return ValidationReport(ok=not problems, violations=tuple(problems), products=products)
 
 
-def require_valid(state: TodaState) -> None:
+def require_valid(state: TodaState) -> tuple:
+    """Raise :class:`StateValidationError` unless the state is valid;
+    return its conserved products, as computed by :func:`validate`."""
     report = validate(state)
     if not report.ok:
         raise StateValidationError(report.violations)
+    return report.products
 
 
 def prod(values) -> Q:
@@ -117,45 +141,35 @@ def conserved_products(state: TodaState):
 
 
 def evolve(state: TodaState) -> TodaState:
-    """One exact time step.  Requires a valid state."""
-    require_valid(state)
+    """One exact time step.  Requires a valid state.
+
+    Solves the periodic recurrence sigma_(n+1) = (sigma_n + 1) c_n,
+    c_n = V_n / I_n, at its fixed point sigma_0 = z / (1 - P) (module
+    docstring), with P = prod(V) / prod(I-row 0) from the validation pass.
+    """
+    pv, pi = require_valid(state)[:2]
     N = state.N
     V = state.V
     I0 = state.I[0]
 
-    # u_n = prod_{k<=n} I_k/V_k;  s_n = s_0 + sum_{j<n} u_j with the
-    # Bloch closure s_{n+N} = lam*s_n, lam = prod(I)/prod(V) > 1.
-    u = [ONE]
-    for n in range(N):
-        u.append(u[-1] * I0[n] / V[n])
-    lam = u[N]
-    if lam == 1:
-        raise DegenerateEvolutionError("prod(I) equals prod(V)")
-    s = [prod_sum(u, N) / (lam - 1)]
-    for n in range(N + 1):
-        s.append(s[-1] + u[n])
-    if any(x == 0 for x in s):
-        raise DegenerateEvolutionError("zero pivot in the cyclic solve")
-
-    new_I = tuple(V[n] * s[n + 2] / s[n + 1] for n in range(N))
-    new_V = tuple(I0[(n + 1) % N] * s[n + 1] / s[n + 2] for n in range(N))
-    if any(x == 0 for x in new_I):
-        raise DegenerateEvolutionError("zero I-value produced")
+    c = [v / x for v, x in zip(V, I0)]
+    z = ZERO
+    for cn in c:
+        z = (z + 1) * cn
+    sigma = z / (1 - pv / pi)
+    # rho_n = s_(n+2) / s_(n+1) = 1 + 1/sigma_(n+1) > 1
+    rho = []
+    for cn in c:
+        sigma = (sigma + 1) * cn
+        rho.append(1 + 1 / sigma)
 
     return TodaState(
         N=N,
         M=state.M,
-        V=new_V,
-        I=state.I[1:] + (new_I,),
+        V=tuple(I0[(n + 1) % N] / rho[n] for n in range(N)),
+        I=state.I[1:] + (tuple(v * r for v, r in zip(V, rho)),),
         t=state.t + 1,
     )
-
-
-def prod_sum(u, N):
-    acc = u[0]
-    for j in range(1, N):
-        acc += u[j]
-    return acc
 
 
 def evolve_float_oracle(state: TodaState, tol: float = 1e-14, max_sweeps: int = 200000):

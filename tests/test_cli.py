@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -116,6 +117,26 @@ def test_exit_code_on_invalid_state(tmp_path):
     bad.write_text('{"N":2,"M":1,"t":0,"V":["2","2"],"I":[["1","3"]]}')
     r = run_cli("simulate", "--input", str(bad), "--steps", "1")
     assert r.returncode == 2
+    assert r.stderr == "error: invalid state: prod(V) = 4 not < prod(I-row 0) = 3\n"
+    assert r.stdout == ""
+
+
+#: sha256 of ``simulate --steps 25`` on ``random-state --nm N,M --seed 1``,
+#: recorded with the closed-form u/s solver that the sigma recurrence replaced
+PINNED_TRAJECTORIES = {
+    "3,1": "421b97fb80f30229c36b8d44e2e737ef1f3e8f6170cef042953fee8730f2f61f",
+    "4,2": "855f3b424b839f90ff99e07ffea4da76a33f83c64f2bec89c0dca83cb502c837",
+    "6,2": "9a3277ddf994af25236284571355ae8af9739588a7ed09bcc94718665e61ee34",
+}
+
+
+@pytest.mark.parametrize("nm", sorted(PINNED_TRAJECTORIES))
+def test_simulate_trajectory_is_pinned(nm, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    assert main(["random-state", "--nm", nm, "--seed", "1", "--output", str(path)]) == 0
+    assert main(["simulate", "--steps", "25", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TRAJECTORIES[nm]
 
 
 @pytest.mark.parametrize("entry", ["1/0", "0.5", "1e3", "1_000", " 3/4 "])

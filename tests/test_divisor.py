@@ -220,6 +220,13 @@ def test_common_zero_support():
         assert common_zero_support_check(random_state(N, M, rng))
 
 
+def test_common_zero_support_builds_x_once(monkeypatch):
+    # phi comes from the same X whose corner minors are screened
+    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
+    assert common_zero_support_check(random_state(3, 2, random.Random(83)))
+    assert calls == {"transfer_matrix": 1}
+
+
 def test_smoothness_generic_exact_certificate():
     rng = random.Random(84)
     probe = smoothness_probe(spectral_data(random_state(3, 1, rng)))

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdtoda.errors import PdTodaError, StateValidationError
-from pdtoda.rationals import Q
+from pdtoda.errors import DegenerateEvolutionError, PdTodaError, StateValidationError
+from pdtoda.rationals import ONE, Q
 from pdtoda.toda import (
     TodaState,
     conserved_products,
@@ -13,6 +13,7 @@ from pdtoda.toda import (
     evolve_float_oracle,
     index_shift,
     random_state,
+    require_valid,
     state_from_json,
     state_to_json,
     validate,
@@ -50,8 +51,81 @@ def test_validate_positivity():
 
 
 def test_evolve_requires_valid_state():
-    with pytest.raises(StateValidationError):
-        evolve(TodaState(N=2, M=1, V=(2, 2), I=((1, 3),)))
+    # a product violation, two non-positive entries, a middle-row violation
+    for state in (
+        TodaState(N=2, M=1, V=(2, 2), I=((1, 3),)),
+        TodaState(N=2, M=2, V=(1, -1), I=((2, 3), (0, 5))),
+        TodaState(N=1, M=3, V=(1,), I=((3,), (Q(1, 2),), (1,))),
+    ):
+        with pytest.raises(StateValidationError) as info:
+            evolve(state)
+        assert info.value.violations == validate(state).violations != ()
+
+
+def test_require_valid_returns_the_validated_products():
+    s = random_state(4, 2, random.Random(27))
+    assert require_valid(s) == validate(s).products == conserved_products(s)
+    assert validate(TodaState(N=2, M=1, V=(1, -1), I=((2, 3),))).products == ()
+
+
+def evolve_us_reference(state: TodaState) -> TodaState:
+    """The closed-form u/s solve that ``evolve`` replaced, kept verbatim as
+    its test oracle: u_n = prod_{k<n} I_k/V_k, s_0 = sum u_j / (lam - 1)."""
+    require_valid(state)
+    N = state.N
+    V = state.V
+    I0 = state.I[0]
+
+    # u_n = prod_{k<=n} I_k/V_k;  s_n = s_0 + sum_{j<n} u_j with the
+    # Bloch closure s_{n+N} = lam*s_n, lam = prod(I)/prod(V) > 1.
+    u = [ONE]
+    for n in range(N):
+        u.append(u[-1] * I0[n] / V[n])
+    lam = u[N]
+    if lam == 1:
+        raise DegenerateEvolutionError("prod(I) equals prod(V)")
+    s = [prod_sum(u, N) / (lam - 1)]
+    for n in range(N + 1):
+        s.append(s[-1] + u[n])
+    if any(x == 0 for x in s):
+        raise DegenerateEvolutionError("zero pivot in the cyclic solve")
+
+    new_I = tuple(V[n] * s[n + 2] / s[n + 1] for n in range(N))
+    new_V = tuple(I0[(n + 1) % N] * s[n + 1] / s[n + 2] for n in range(N))
+    if any(x == 0 for x in new_I):
+        raise DegenerateEvolutionError("zero I-value produced")
+
+    return TodaState(
+        N=N,
+        M=state.M,
+        V=new_V,
+        I=state.I[1:] + (new_I,),
+        t=state.t + 1,
+    )
+
+
+def prod_sum(u, N):
+    acc = u[0]
+    for j in range(1, N):
+        acc += u[j]
+    return acc
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 10 ** 6),
+)
+@example(1, 1, 6, 0)
+@example(1, 3, 6, 1)
+@settings(max_examples=60, deadline=None)
+def test_evolve_matches_the_us_reference(N, M, steps, seed):
+    cur = random_state(N, M, random.Random(seed))
+    for _ in range(steps):
+        nxt = evolve(cur)
+        assert nxt == evolve_us_reference(cur)
+        cur = nxt
 
 
 def test_evolve_frozen_example():

@@ -17,6 +17,32 @@ from .unipoly import UniPoly
 Exponent = Tuple[int, int]
 
 
+def mul_add(acc: Dict[Exponent, object], a: Dict[Exponent, object],
+            b: Dict[Exponent, object]) -> Dict[Exponent, object]:
+    """acc += a * b on raw term dicts, in place; returns acc.
+
+    The one product kernel of the package: ``BiLaurent.__mul__``, the matrix
+    product, the determinant expansion and the transfer-matrix build all
+    accumulate through it.  A coefficient that cancels is deleted, so acc
+    keeps the no-zero-coefficient invariant that makes equality plain dict
+    equality.
+    """
+    get = acc.get
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            prev = get(e)
+            if prev is None:
+                acc[e] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return acc
+
+
 class BiLaurent:
     """Sparse exact polynomial in x and y**(+-1)."""
 
@@ -145,18 +171,7 @@ class BiLaurent:
             if q == 0:
                 return BiLaurent()
             return BiLaurent({e: c * q for e, c in self.terms.items()}, _clean=False)
-        if not self.terms or not other.terms:
-            return BiLaurent()
-        out: Dict[Exponent, object] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = out.get(e, ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return BiLaurent(out, _clean=False)
+        return BiLaurent(mul_add({}, self.terms, other.terms), _clean=False)
 
     __rmul__ = __mul__
 
@@ -212,15 +227,6 @@ class BiLaurent:
         acc = 0j
         for (i, j), c in self.sorted_items():
             acc += complex(c) * (xv ** i) * (yv ** j)
-        return acc
-
-    def subs_exact(self, xv, yv):
-        """Exact rational evaluation."""
-        acc = ZERO
-        for (i, j), c in self.sorted_items():
-            term = c * (as_q(xv) ** i)
-            term = term * (as_q(yv) ** j) if j >= 0 else term / (as_q(yv) ** (-j))
-            acc += term
         return acc
 
     def __repr__(self) -> str:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bilaurent import BiLaurent
 from .errors import NonGenericDataError, PdTodaError
-from .lax import SpectralData, char_poly, spectral_data, transfer_matrix
+from .lax import SpectralData, char_matrix, char_poly, spectral_data, transfer_matrix
 from .lmatrix import LaurentMatrix, antitranspose, det, minor_signed, resultant_y
 from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
@@ -81,11 +81,6 @@ def shift_conjugation_matrix(N: int, inverse: bool = False) -> LaurentMatrix:
         return BiLaurent.zero()
 
     return LaurentMatrix.build(N, N, fill_inv if inverse else fill)
-
-
-def char_matrix(X: LaurentMatrix) -> LaurentMatrix:
-    """X - xE."""
-    return X - LaurentMatrix.identity(X.rows).scale(BiLaurent.x())
 
 
 def corner_minor(X: LaurentMatrix, i: int, j: int) -> BiLaurent:

@@ -7,6 +7,10 @@ Determinants use two strategies:
   free of y (divisions are exact by the Bareiss identity), and
 * dynamic-programming expansion by minors over column subsets otherwise,
   which avoids Laurent division entirely and costs O(2^n n) multiplications.
+  Its partial minors are raw term dicts, accumulated in place by the
+  package's one product kernel ``bilaurent.mul_add``; the permutation sign
+  is folded in by taking each entry in the sign its column position asks
+  for, and the result is wrapped in a BiLaurent once, at the end.
 
 Resultants are Sylvester-matrix determinants.  The convention is
 
@@ -30,9 +34,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Sequence
 
-from .bilaurent import BiLaurent
+from .bilaurent import BiLaurent, mul_add
 from .errors import DimensionError, PdTodaError
-from .rationals import Q
+from .rationals import ONE, Q
 from .unipoly import UniPoly
 
 
@@ -84,47 +88,17 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        cols = list(zip(*other.entries))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = BiLaurent.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            cells = []
+            for col in cols:
+                acc = {}
+                for a, b in zip(row, col):
+                    mul_add(acc, a.terms, b.terms)
+                cells.append(BiLaurent(acc, _clean=False))
+            out.append(cells)
         return LaurentMatrix(out)
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch")
-        return LaurentMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch")
-        return LaurentMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def scale(self, c) -> "LaurentMatrix":
-        return LaurentMatrix([[e * c for e in row] for row in self.entries])
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[self.entries[j][i] for j in range(self.rows)] for i in range(self.cols)]
-        )
 
     def submatrix(self, drop_row: int, drop_col: int) -> "LaurentMatrix":
         """Delete 1-based row and column."""
@@ -138,10 +112,6 @@ class LaurentMatrix:
 
     def is_y_free(self) -> bool:
         return all(e.is_y_free() for row in self.entries for e in row)
-
-    def eval(self, xv, yv):
-        """Floating evaluation to a list-of-lists of complex numbers."""
-        return [[e.eval(xv, yv) for e in row] for row in self.entries]
 
 
 def antitranspose(m: LaurentMatrix) -> LaurentMatrix:
@@ -191,36 +161,39 @@ def _det_subsets(rows) -> BiLaurent:
     """Expansion by minors with memoization on column subsets.
 
     det over rows 0..k-1 and a column set S (|S| = k) is built bottom up;
-    O(2^n) subproblems instead of n! cofactor paths.
+    O(2^n) subproblems instead of n! cofactor paths.  Partial minors are
+    raw term dicts accumulated by ``mul_add``; the result is wrapped once.
     """
     n = len(rows)
-    current = {0: BiLaurent.one()}  # bitmask of used columns -> minor det
-    for i in range(n):
+    current = {0: {(0, 0): ONE}}  # bitmask of used columns -> minor det terms
+    for row in rows:
+        # each entry in both signs, so the permutation sign costs no product
+        signed = [(a.terms, {e: -c for e, c in a.terms.items()}) if a.terms else None
+                  for a in row]
         nxt = {}
         for mask, sub in current.items():
-            if not sub.terms:
+            if not sub:
                 continue
             # walking columns from the top keeps `parity` equal to the
             # number of already-used columns above j: the inversions the
-            # permutation gains by placing row i in column j
+            # permutation gains by placing this row in column j
             parity = 0
             for j in range(n - 1, -1, -1):
                 bit = 1 << j
                 if mask & bit:
                     parity ^= 1
                     continue
-                a = rows[i][j]
-                if a.terms:
-                    term = sub * a
+                a = signed[j]
+                if a is not None:
                     key = mask | bit
-                    prev = nxt.get(key)
-                    if parity:
-                        term = -term
-                    nxt[key] = term if prev is None else prev + term
+                    acc = nxt.get(key)
+                    if acc is None:
+                        acc = nxt[key] = {}
+                    mul_add(acc, a[parity], sub)
         current = nxt
         if not current:
             return BiLaurent.zero()
-    return current.get((1 << n) - 1, BiLaurent.zero())
+    return BiLaurent(current.get((1 << n) - 1, {}), _clean=False)
 
 
 def _det_bareiss(a) -> UniPoly:
@@ -432,20 +405,3 @@ def resultant_y_direct(p: BiLaurent, q: BiLaurent) -> UniPoly:
         return pc[0] ** (len(qc) - 1)
     return _det_bareiss(_sylvester(pc, qc, UniPoly()))
 
-
-def resultant_x(p: BiLaurent, q: BiLaurent) -> BiLaurent:
-    """Resultant in x (used by the smoothness probe).  Both arguments are
-    reinterpreted with the roles of x and y swapped; the result is a
-    polynomial in y alone, returned as a BiLaurent."""
-    swapped_p = _swap_vars(p)
-    swapped_q = _swap_vars(q)
-    res = resultant_y(swapped_p, swapped_q)
-    return _swap_vars(BiLaurent.from_unipoly(res))
-
-
-def _swap_vars(p: BiLaurent) -> BiLaurent:
-    if p.is_zero():
-        return p
-    if any(j < 0 for _, j in p.terms):
-        p = p.clear_y()
-    return BiLaurent({(j, i): c for (i, j), c in p.terms.items()})

@@ -394,7 +394,7 @@ def residue_constants(model: EllipticModel) -> tuple:
 
 def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
     """Build the genus-1 curve model for an N=2, M=1 state."""
-    require_valid(state)
+    prods = require_valid(state)
     if state.N != 2 or state.M != 1:
         raise PdTodaError("elliptic model requires N=2, M=1")
     sd = spectral_data(state)
@@ -403,7 +403,6 @@ def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
         raise PdTodaError("unexpected leading y-coefficient")
     q = sd.A[1]
     c = -sd.A[2].coeff(0)
-    prods = conserved_products(state)
     if c != prods[0] * prods[1]:
         raise PdTodaError("constant term does not equal prod(V) prod(I)")
     f = q * q - UniPoly.const(4 * c)
@@ -597,12 +596,11 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     """Full genus-1 validation for one state: principal-divisor identities,
     time predictions t = 0..steps and the one-site shift, all against the
     exact divisor track.  Returns a JSON-ready report."""
-    require_valid(state)
+    prods = require_valid(state)
     ctx = theta_context(state)
     model = ctx.model
 
     # principal divisor checks: N (A(P) - A(Q)) and the divisor of x
-    prods = conserved_products(state)
     w_V = model.w_from_y(0.0, complex(prods[0]))
     abel_V = model.abel_finite(0.0, w_V)
     torsion = model.lattice_distance(2 * ctx.k_vec)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from pdtoda.bilaurent import BiLaurent, newton_interior
+from pdtoda.bilaurent import BiLaurent, mul_add, newton_interior
 from pdtoda.errors import PdTodaError
-from pdtoda.rationals import Q
+from pdtoda.rationals import Q, as_q
 from pdtoda.toda import random_state
 from pdtoda.unipoly import UniPoly
 
@@ -28,6 +28,23 @@ def test_arithmetic_and_y_clearing():
     assert cleared == x * y * y + BiLaurent.const(2)
 
 
+def test_products_store_no_cancelled_coefficient():
+    # (x + y)(x - y) = x^2 - y^2: the two xy terms cancel and must leave no
+    # zero entry behind, since equality is plain dict equality
+    x = BiLaurent.x()
+    y = BiLaurent.y()
+    p = (x + y) * (x - y)
+    assert p.terms == {(2, 0): 1, (0, 2): -1}
+    assert 0 not in p.terms.values()
+    assert p == x * x - y * y
+    # a product that cancels completely is the zero polynomial
+    q = (y + BiLaurent.y(-1)) * (y - BiLaurent.y(-1)) - (y * y - BiLaurent.y(-2))
+    assert q.terms == {}
+    acc = {(1, 1): Q(2)}
+    mul_add(acc, {(1, 0): Q(1)}, {(0, 1): Q(-2)})
+    assert acc == {}
+
+
 def test_y_coefficients_roundtrip():
     x = BiLaurent.x()
     y = BiLaurent.y()
@@ -37,11 +54,21 @@ def test_y_coefficients_roundtrip():
     assert cs[-1] == UniPoly([1, 2])
 
 
+def subs_exact(p: BiLaurent, xv, yv):
+    """Exact rational evaluation of p at (xv, yv): the oracle for eval."""
+    acc = Q(0)
+    for (i, j), c in p.sorted_items():
+        term = c * (as_q(xv) ** i)
+        term = term * (as_q(yv) ** j) if j >= 0 else term / (as_q(yv) ** (-j))
+        acc += term
+    return acc
+
+
 def test_eval_matches_exact_substitution():
     rng = random.Random(4)
     p = BiLaurent({(i, j): Q(rng.randint(-3, 3)) for i in range(3) for j in range(-1, 2)})
     xv, yv = Q(3, 2), Q(-5, 3)
-    exact = p.subs_exact(xv, yv)
+    exact = subs_exact(p, xv, yv)
     assert abs(p.eval(float(xv), float(yv)) - float(exact)) < 1e-12
 
 

@@ -139,6 +139,24 @@ def test_simulate_trajectory_is_pinned(nm, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TRAJECTORIES[nm]
 
 
+#: sha256 of ``spectrum`` on ``random-state --nm N,M --seed 1``, recorded
+#: with X built as the dense product L R_(M-1) ... R_(0)
+PINNED_SPECTRA = {
+    "4,2": "84ede3fb1ad91f7c101d33592c5d9b6349d35b3f6b6c278ac0d1547d67fa1559",
+    "5,2": "dbe652311afa21889095ccdb6f6643ac888cba956906239e74e986d49e1ad660",
+    "4,3": "4046ef4d608ca9aa76faeb145f2ce668bb5394fd88e9e546eca8dd1b302d7a6c",
+}
+
+
+@pytest.mark.parametrize("nm", sorted(PINNED_SPECTRA))
+def test_spectrum_is_pinned(nm, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    assert main(["random-state", "--nm", nm, "--seed", "1", "--output", str(path)]) == 0
+    assert main(["spectrum", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPECTRA[nm]
+
+
 @pytest.mark.parametrize("entry", ["1/0", "0.5", "1e3", "1_000", " 3/4 "])
 def test_exit_code_on_malformed_rational(tmp_path, entry):
     bad = tmp_path / "rational.json"

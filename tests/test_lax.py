@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdtoda.bilaurent import BiLaurent
 from pdtoda.errors import PdTodaError
@@ -22,7 +24,7 @@ from pdtoda.lax import (
     time_step_matrix,
     transfer_matrix,
 )
-from pdtoda.lmatrix import det
+from pdtoda.lmatrix import LaurentMatrix, det
 from pdtoda.rationals import Q
 from pdtoda.toda import TodaState, evolve, random_state
 from pdtoda.unipoly import UniPoly
@@ -57,12 +59,43 @@ def test_n1_collapsed_factors():
     assert ok
 
 
-def test_transfer_matrix_is_plain_product():
-    rng = random.Random(31)
-    s = random_state(2, 1, rng)
-    assert transfer_matrix(s) == l_matrix(s) @ r_matrix(s, 0)
-    s2 = random_state(3, 2, rng)
-    assert transfer_matrix(s2) == (l_matrix(s2) @ r_matrix(s2, 1)) @ r_matrix(s2, 0)
+def dense_transfer(s):
+    """L R_(M-1) ... R_(0) as a chain of dense matrix products."""
+    out = l_matrix(s)
+    for layer in range(s.M - 1, -1, -1):
+        out = out @ r_matrix(s, layer)
+    return out
+
+
+@given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 3), st.integers(0, 10 ** 6))
+@example(1, 1, 0, 0)
+@example(1, 4, 3, 1)
+@example(7, 4, 0, 2)
+@settings(max_examples=40, deadline=None)
+def test_transfer_matrix_is_plain_product(N, M, steps, seed):
+    # the column-update build against the dense chain, on random and on
+    # 0-3 times evolved states
+    s = random_state(N, M, random.Random(seed))
+    for _ in range(steps):
+        s = evolve(s)
+    assert transfer_matrix(s) == dense_transfer(s)
+
+
+def test_transfer_matrix_makes_no_dense_product(monkeypatch):
+    calls = []
+    original = LaurentMatrix.__matmul__
+
+    def spy(self, other):
+        calls.append((self.rows, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", spy)
+    rng = random.Random(34)
+    for N, M in ((1, 1), (3, 2), (5, 3)):
+        transfer_matrix(random_state(N, M, rng))
+    assert calls == []
+    dense_transfer(random_state(3, 2, rng))
+    assert len(calls) == 2
 
 
 def test_transfer_entries_have_small_y_range():

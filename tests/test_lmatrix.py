@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pdtoda import lmatrix
 from pdtoda.bilaurent import BiLaurent
 from pdtoda.errors import DimensionError, PdTodaError
+from pdtoda.lax import char_matrix, transfer_matrix
 from pdtoda.lmatrix import (
     LaurentMatrix,
     antitranspose,
@@ -17,6 +18,7 @@ from pdtoda.lmatrix import (
     resultant_y_direct,
 )
 from pdtoda.rationals import Q
+from pdtoda.toda import evolve, random_state
 from pdtoda.unipoly import UniPoly, roots_numeric
 
 
@@ -114,6 +116,31 @@ def test_desnanot_jacobi_identity():
             assert lhs == det(m) * inner
 
 
+def test_det_matches_cofactor_on_characteristic_matrices():
+    # X - xE and its (N, N) and (1, N) submatrices, the matrices whose
+    # determinants give phi and the corner minors of the divisor
+    rng = random.Random(17)
+    for N in range(1, 7):
+        for M in (1, 2, 3):
+            s = evolve(random_state(N, M, rng))
+            cm = char_matrix(transfer_matrix(s))
+            assert det(cm) == det_cofactor(cm)
+            if N > 1:
+                for i in (N, 1):
+                    sub = cm.submatrix(i, N)
+                    assert det(sub) == det_cofactor(sub)
+
+
+def test_det_of_cancelling_entries_stores_no_zero():
+    # rows (y, 1/y) and (y, 1/y + 1): det = y, the 1 and -1 products cancel
+    y, yinv = BiLaurent.y(), BiLaurent.y(-1)
+    m = LaurentMatrix([[y, yinv], [y, yinv + BiLaurent.one()]])
+    d = det(m)
+    assert d.terms == {(0, 1): 1}
+    singular = LaurentMatrix([[y, yinv], [y, yinv]])
+    assert det(singular).terms == {}
+
+
 def test_antitranspose_involution_and_shape():
     rng = random.Random(16)
     m = rand_matrix(rng, 4)
@@ -174,17 +201,6 @@ def test_resultant_interpolated_equals_direct():
         if p.is_zero() or q.is_zero():
             continue
         assert resultant_y(p, q) == resultant_y_direct(p, q)
-
-
-def test_resultant_x_eliminates_first_variable():
-    # the first argument x - y has the single root x = y, so under the
-    # fixed convention res = q(y) = y - 2y = -y; it vanishes exactly at
-    # the one y where the two lines meet
-    x = BiLaurent.x()
-    y = BiLaurent.y()
-    from pdtoda.lmatrix import resultant_x
-
-    assert resultant_x(x - y, x - 2 * y) == -y
 
 
 def test_resultant_matches_root_product_oracle():

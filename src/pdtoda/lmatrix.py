@@ -31,6 +31,7 @@ direct expansion over x-polynomials is kept as the test oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Sequence
 
@@ -290,7 +291,7 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     pi, dp_den = _cleared(pc)
     qi, dq_den = _cleared(qc)
     degrees = [[len(c) - 1 if c else None for c in f] for f in (pi, qi)]
-    bound = _degree_bound(_sylvester(*degrees, None))
+    bound = _degree_bound(tuple(map(tuple, _sylvester(*degrees, None))))
     if bound is None:
         return UniPoly()
     samples = []
@@ -301,10 +302,13 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     return UniPoly(Q(c, den) for c in _int_interpolate(samples))
 
 
-def _degree_bound(degrees):
+@lru_cache(maxsize=256)
+def _degree_bound(degrees: tuple):
     """Largest sum of entry degrees over the permutations of a square
     matrix that avoid its zero entries (``None`` in ``degrees``), or None
-    when every permutation meets a zero.
+    when every permutation meets a zero.  ``degrees`` is a tuple of row
+    tuples: a divisor track meets only a few degree patterns, so the
+    bound is memoised on the pattern.
 
     By Leibniz's expansion the determinant has no higher degree.  The
     maximum is taken by the column-subset recursion of ``_det_subsets``:

@@ -51,7 +51,7 @@ import numpy as np
 from .divisor import corner_minor, divisor_poly, fiber_roots, rel_eval, track_divisor
 from .errors import NumericFailureError, PdTodaError, SingularCurveError
 from .lax import spectral_data, transfer_matrix
-from .toda import TodaState, conserved_products, evolve, index_shift, require_valid
+from .toda import TodaState, evolve, index_shift, require_valid
 from .unipoly import UniPoly, horner, roots_numeric
 
 _GL_CACHE: dict = {}
@@ -144,6 +144,7 @@ class EllipticModel:
     """Curve data, periods and the Abel map for one N=2, M=1 state."""
 
     state: TodaState
+    prods: tuple             # conserved products (prod V, prod I), from validation
     q: UniPoly
     c: object
     f: UniPoly
@@ -386,12 +387,6 @@ class EllipticModel:
         return abs(self.a_period + other) / abs(self.a_period)
 
 
-def residue_constants(model: EllipticModel) -> tuple:
-    """(Res_P(x omega), Res_Q(x omega)); by the residue theorem they cancel,
-    since x omega has no other poles."""
-    return model.residue_at_infinity(+1), model.residue_at_infinity(-1)
-
-
 def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
     """Build the genus-1 curve model for an N=2, M=1 state."""
     prods = require_valid(state)
@@ -417,6 +412,7 @@ def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
 
     model = EllipticModel(
         state=state,
+        prods=prods,
         q=q,
         c=c,
         f=f,
@@ -526,7 +522,7 @@ def theta_context(state: TodaState, quad_tol: float = 1e-12) -> ThetaContext:
     abel_Q = model.lattice_reduce(-abel_P)
     k_vec = model.lattice_reduce(abel_P - abel_Q)
 
-    prods = conserved_products(state)
+    prods = model.prods
     w_I = model.w_from_y(0.0, complex(prods[1]))
     abel_A1 = model.abel_finite(0.0, w_I)
     w_V = model.w_from_y(0.0, complex(prods[0]))

@@ -4,8 +4,8 @@ Coefficients are stored lowest degree first; the invariant is that the
 highest stored coefficient is nonzero, with the empty tuple representing
 the zero polynomial.  Everything here is exact except :func:`horner`,
 :func:`roots_numeric` and its check :func:`root_residual`, the deliberately
-floating-point routines.  The gcd works modulo word-size primes but
-certifies its result exactly in Z[x].
+floating-point routines.  The gcd takes one big-integer gcd and a degree
+bound modulo one word-size prime, and certifies its result exactly in Z[x].
 """
 
 from __future__ import annotations
@@ -201,18 +201,33 @@ class UniPoly:
 
 
 def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic exact gcd over the rationals, by Brown's multimodular algorithm.
+    """Monic exact gcd over the rationals, by the heuristic gcd (GCDHEU) of
+    Char, Geddes and Gonnet (J. Symbolic Comput. 7 (1989) 31), certified
+    in Z[x].
 
-    Both arguments are replaced by their primitive integer images P and Q.
-    For each prime l of :func:`_prime` not dividing gamma = gcd(lead P,
-    lead Q), the monic gcd of P and Q mod l is scaled by gamma; images of
-    too high degree come from unlucky primes and are dropped, and the
-    rest are combined by the Chinese remainder theorem in symmetric
-    residues.  Once an additional prime leaves the combined image
-    unchanged, its primitive part H is accepted only if it divides both P
-    and Q exactly in Z[x]; by Gauss's lemma H is then the gcd, returned
-    monic.  A gcd of degree 0 mod one admissible prime is a certificate of
-    coprimality.
+    Both arguments are replaced by their primitive integer images a and b;
+    their gcd G in Z[x], primitive with a positive lead, is the wanted gcd
+    up to its lead.  The degree bound d is deg gcd(a mod l, b mod l) for
+    the first prime l of :func:`_prime` that does not divide
+    lead(a) lead(b); d = 0 certifies coprimality.  At xi = 2**k, with
+    k = min(height a, height b) // 2 + 32 bits, one integer gcd
+    gamma = gcd(a(xi), b(xi)) is taken, and the symmetric base-xi digits
+    of gamma, made primitive with a positive lead, are the candidate h.
+    h is accepted only when deg h = d and h divides both a and b exactly.
+    An h that divides both with deg h < d lowers d by the next admissible
+    prime (l was unlucky, or h is a proper factor of G); any other h, and
+    gamma = 0 (xi is a common root), doubles k.
+
+    Correctness: h divides a and b, so h divides G.  l divides neither
+    lead, so G mod l keeps its degree and divides gcd(a mod l, b mod l):
+    d >= deg G.  With deg h = d, h = G up to a unit, and the positive
+    lead fixes the sign.
+
+    Termination: gamma = |c G(xi)| with c = gcd((a/G)(xi), (b/G)(xi)),
+    and c divides res(a/G, b/G), a nonzero integer since the cofactors are
+    coprime.  Once xi > 2 |c| max|G_i|, the symmetric digits of gamma are
+    the coefficients of +-c G, so h = G; and only the finitely many primes
+    that divide one fixed nonzero integer leave d above deg G.
     """
     if p.is_zero() and q.is_zero():
         raise PdTodaError("gcd(0, 0) is undefined")
@@ -222,33 +237,22 @@ def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
         return UniPoly.one()
     a = _primitive_int(p)
     b = _primitive_int(q)
-    gamma = gcd(a[-1], b[-1])
-    length = min(len(a), len(b)) + 1  # coefficient count, above any gcd's
-    image, modulus = None, 1
-    for index in count():
-        prime = _prime(index)
-        if gamma % prime == 0:
-            continue
-        g = _gcd_mod([c % prime for c in a], [c % prime for c in b], prime)
-        if len(g) == 1:
-            return UniPoly.one()
-        if len(g) > length:
-            continue  # unlucky prime
-        scale = gamma % prime
-        g = [c * scale % prime for c in g]
-        if len(g) < length:  # every earlier prime was unlucky
-            length, image, modulus = len(g), _symmetric(g, prime), prime
-            continue
-        combined = _crt(image, modulus, g, prime)
-        modulus *= prime
-        if combined != image:
-            image = combined
-            continue
-        content = gcd(*image)
-        h = [c // content for c in image]
-        if _divides_int(h, a) and _divides_int(h, b):
-            lead = h[-1]
-            return UniPoly(Q(c, lead) for c in h)
+    leads = a[-1] * b[-1]
+    primes = (ell for ell in map(_prime, count()) if leads % ell)
+    bound = _gcd_degree_mod(a, b, next(primes))
+    if bound == 0:
+        return UniPoly.one()
+    k = min(_height(a), _height(b)) // 2 + 32
+    while True:
+        gamma = gcd(_eval_pow2(a, k), _eval_pow2(b, k))
+        if gamma:
+            h = _primitive(_digits(gamma, k))
+            if len(h) - 1 <= bound and _divides_int(h, a) and _divides_int(h, b):
+                if len(h) - 1 < bound:
+                    bound = min(bound, _gcd_degree_mod(a, b, next(primes)))
+                if len(h) - 1 == bound:
+                    return UniPoly(Q(c, h[-1]) for c in h)
+        k *= 2
 
 
 def gcd_monic_euclid(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -310,7 +314,12 @@ def _primitive_int(p: UniPoly) -> list:
     # generator into a resized 10-slot tuple, and on every call that strands
     # memory in the free list of another tuple size
     den = lcm(*[int(c.denominator) for c in p.coeffs])
-    ints = [int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs]
+    return _primitive([int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs])
+
+
+def _primitive(ints: list) -> list:
+    """A nonzero integer coefficient list divided by its content, signed
+    so that the lead is positive."""
     content = gcd(*ints)
     if ints[-1] < 0:
         content = -content
@@ -345,18 +354,36 @@ def _trim(cs: list) -> list:
     return cs
 
 
-def _symmetric(cs: list, modulus: int) -> list:
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in cs]
+def _gcd_degree_mod(a: list, b: list, prime: int) -> int:
+    """Degree of gcd(a mod prime, b mod prime)."""
+    return len(_gcd_mod([c % prime for c in a], [c % prime for c in b], prime)) - 1
 
 
-def _crt(image: list, modulus: int, residues: list, prime: int) -> list:
-    """Combine symmetric residues mod ``modulus`` with residues mod
-    ``prime`` into symmetric residues mod their product."""
-    inv = pow(modulus % prime, -1, prime)
-    product = modulus * prime
-    out = [h + modulus * ((r - h) * inv % prime) for h, r in zip(image, residues)]
-    return _symmetric(out, product)
+def _height(cs: list) -> int:
+    """Bit length of the largest coefficient."""
+    return max(abs(c) for c in cs).bit_length()
+
+
+def _eval_pow2(cs: list, k: int) -> int:
+    """The integer polynomial cs (lowest degree first) at x = 2**k."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << k) + c
+    return acc
+
+
+def _digits(gamma: int, k: int) -> list:
+    """The symmetric base-2**k digits of gamma > 0, lowest first, each in
+    [-2**(k-1), 2**(k-1))."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    digits = []
+    while gamma:
+        digit = gamma & mask
+        if digit >= half:
+            digit -= 1 << k
+        digits.append(digit)
+        gamma = (gamma - digit) >> k
+    return digits
 
 
 def _divides_int(h: list, a: list) -> bool:

@@ -157,6 +157,24 @@ def test_spectrum_is_pinned(nm, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPECTRA[nm]
 
 
+#: sha256 of ``divisor --steps 10`` on ``random-state --nm N,M --seed 1``,
+#: recorded with U from Brown's multimodular gcd
+PINNED_DIVISOR = {
+    "4,2": "a7bc313ea66130d1c302985b5e4ffb605824522203f2cbcc2d2442c8c1a2b019",
+    "5,2": "27601a16a1153c171a1cbb94d82bdfb4cbb47160266ce67c27651363c85a06fb",
+    "4,3": "c656f5818d1a432dc73035243ea68f9a0c420e2c1c40ba80efc97309f8addb51",
+}
+
+
+@pytest.mark.parametrize("nm", sorted(PINNED_DIVISOR))
+def test_divisor_track_is_pinned(nm, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    assert main(["random-state", "--nm", nm, "--seed", "1", "--output", str(path)]) == 0
+    assert main(["divisor", "--steps", "10", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIVISOR[nm]
+
+
 @pytest.mark.parametrize("entry", ["1/0", "0.5", "1e3", "1_000", " 3/4 "])
 def test_exit_code_on_malformed_rational(tmp_path, entry):
     bad = tmp_path / "rational.json"

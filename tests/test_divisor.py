@@ -249,7 +249,7 @@ def test_smoothness_trivial_rational_curve():
 @pytest.mark.parametrize("N, M", [(4, 2), (5, 2), (4, 3)])
 def test_exact_core_matches_oracles_on_grown_heights(N, M):
     # (phi, y D_NN) at t = 10, where the rational heights have grown; the
-    # integer resultant and the multimodular gcd must equal the
+    # integer resultant and the heuristic gcd must equal the
     # expansion over Q[x] and the Euclidean gcd over Q exactly
     from pdtoda.lmatrix import resultant_y, resultant_y_direct
     from pdtoda.toda import evolve

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from pdtoda import lax, toda
 from pdtoda.errors import NumericFailureError, PdTodaError, SingularCurveError
 from pdtoda.rationals import Q
 from pdtoda.theta import (
@@ -134,6 +135,31 @@ def test_abel_involution_negates():
     plus = m.abel_finite(float(x0), w0)
     minus = m.abel_finite(float(x0), -w0)
     assert m.lattice_distance(plus + minus) < 1e-9
+
+
+def test_theta_context_reuses_the_validated_products(monkeypatch):
+    # theta_context makes no conserved_products pass beyond those of the
+    # calls it is built from: it reads the products off the model
+    calls = []
+    original = toda.conserved_products
+
+    def spy(state):
+        calls.append(state)
+        return original(state)
+
+    for module in (toda, lax):
+        monkeypatch.setattr(module, "conserved_products", spy)
+
+    def passes(fn, *args):
+        del calls[:]
+        fn(*args)
+        return len(calls)
+
+    s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
+    parts = (passes(elliptic_model, s) + passes(divisor_point, s) + passes(evolve, s)
+             + passes(divisor_point, evolve(s)))
+    assert passes(theta_context, s) == parts
+    assert elliptic_model(s).prods == original(s)
 
 
 def test_principal_divisor_identities():

@@ -120,7 +120,7 @@ def test_strip_x_power():
 
 
 # ---------------------------------------------------------------------------
-# multimodular gcd against the Euclidean oracle
+# heuristic gcd, certified in Z[x], against the Euclidean oracle
 # ---------------------------------------------------------------------------
 
 
@@ -190,6 +190,61 @@ def test_gcd_is_certified_by_trial_division_in_zx(monkeypatch):
     assert len(calls) >= 2 and len(certified) == 1
     (hs,) = certified
     assert UniPoly(Q(c, hs[-1]) for c in hs) == got
+
+
+def _spy(monkeypatch, name):
+    """Record the result of every call of unipoly.<name>."""
+    results = []
+    original = getattr(unipoly, name)
+
+    def spy(*args):
+        out = original(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(unipoly, name, spy)
+    return results
+
+
+def test_gcd_doubles_the_evaluation_point_for_a_tall_factor(monkeypatch):
+    # a 200-bit factor over tiny cofactors: the first xi = 2**(200 // 2 + 32)
+    # is below the factor's height, so its digits are wrong and rejected
+    divides = _spy(monkeypatch, "_divides_int")
+    rng = random.Random(11)
+    x = UniPoly.x()
+    h = x * x + rng.getrandbits(200) * x - rng.getrandbits(200)
+    got = gcd_monic(h * (x - 1), h * (x + 1))
+    assert got == h == gcd_monic_euclid(h * (x - 1), h * (x + 1))
+    assert len(divides) > 2 and not divides[0]
+
+
+def test_gcd_skips_a_common_root_at_the_evaluation_point(monkeypatch):
+    # both inputs have height 65 bits, so the first xi is 2**(65 // 2 + 32),
+    # a common root: gcd(a(xi), b(xi)) = 0 and xi must move on
+    values = _spy(monkeypatch, "_eval_pow2")
+    x = UniPoly.x()
+    root = 2**64
+    p, q = (x - root) * (x - 1), (x - root) * (x + 1)
+    assert gcd_monic(p, q) == x - root == gcd_monic_euclid(p, q)
+    assert values[:2] == [0, 0] and len(values) > 2
+
+
+# nonzero integers of exactly 200 to 2000 bits, either sign
+_tall = st.builds(
+    lambda magnitude, sign: sign * magnitude,
+    st.integers(200, 2000).flatmap(lambda n: st.integers(2 ** (n - 1), 2**n - 1)),
+    st.sampled_from((1, -1)),
+)
+_tall_polys = st.lists(_tall, min_size=1, max_size=5).map(UniPoly)
+
+
+@given(_tall_polys, _tall_polys, _tall_polys)
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_euclid_on_tall_coefficients(p, q, h):
+    a, b = p * h, q * h
+    if a.is_zero() and b.is_zero():
+        return
+    assert gcd_monic(a, b) == gcd_monic_euclid(a, b)
 
 
 def _miller_rabin(n):

@@ -41,7 +41,7 @@ from .lax import SpectralData, char_matrix, char_poly, spectral_data, transfer_m
 from .lmatrix import LaurentMatrix, antitranspose, det, minor_signed, resultant_y
 from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
-from .unipoly import UniPoly, gcd_monic, roots_numeric
+from .unipoly import UniPoly, gcd_monic, horner, roots_numeric
 
 #: the four operators sharing one spectral curve ("shift" is sigma^-1 X);
 #: "shiftup" (sigma X) additionally appears in two factorization rows
@@ -270,7 +270,8 @@ def rel_eval(p: BiLaurent, x0: complex, y0: complex) -> float:
 def fiber_roots(p: BiLaurent, x0: complex):
     """All nonzero y with p(x0, y) = 0, from the fiber polynomial in y."""
     coeffs = np.array(
-        [complex(p.y_coeff(j)(complex(x0))) for j in range(p.y_min(), p.y_max() + 1)],
+        [horner([complex(c) for c in p.y_coeff(j).coeffs], complex(x0))
+         for j in range(p.y_min(), p.y_max() + 1)],
         dtype=complex,
     )
     coeffs = np.trim_zeros(coeffs, "b")

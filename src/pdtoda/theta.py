@@ -9,18 +9,41 @@ ordered e1 < e2 < e3 < e4 the cuts are [e1, e2] and [e3, e4]; the curve
 carries two points over x = infinity: P on the sheet with w/x^2 -> +1
 (where y grows like x^2) and Q on the other (where y -> 0).
 
-Everything is anchored to one global sheet, fixed on the first path leg
-out of the base branch point e1 and transported by numerical analytic
-continuation; integrals are Gauss-Legendre with substitutions that remove
-the sqrt endpoint singularities.  The validated objects:
+Every quantity below is a closed form in the branch points, themselves
+-q1/2 -+ sqrt(q1^2/4 - q0 +- 2 sqrt c) because f = (q - 2 sqrt c)(q + 2 sqrt c)
+for q = x^2 + q1 x + q0.  The global sheet is the boundary value of w on
+the real axis from above,
 
-* periods A = 2 int_{e1}^{e2} dx/w and B = 2 int_{e2}^{e3} dx/w,
-  normalized differential omega = dx / (A w), modulus tau = +-B/A with
-  Im tau > 0;
-* the Abel map A(p) = int_{e1}^{p} omega, reduced mod Z + tau Z, with the
-  hyperelliptic involution giving A((x, -w)) = -A((x, w));
-* residue constants c = Res_P(x omega), c' = Res_Q(x omega) by contour
-  integration in the chart t = 1/x (they satisfy c + c' = 0);
+    w(x + i0) = -i^k sqrt|f(x)|,   k = #{e_j > x}:
+
+    x < e1: -sqrt f,   [e1, e2]: +i sqrt|f|,   [e2, e3]: +sqrt f,
+    [e3, e4]: -i sqrt|f|,   x > e4: -sqrt f.
+
+So each integral along the real axis splits into one interval per gap
+between breakpoints, and on an interval [a, b] with no branch point inside
+
+    I(a, b) = int_a^b dx / sqrt|f| = 2 R_F(U12^2, U13^2, U14^2)
+
+(DLMF 19.29.4), U_ij = (X_i X_j Y_k Y_l + Y_i Y_j X_k X_l) / (b - a) with
+X_j = sqrt|b - e_j|, Y_j = sqrt|a - e_j|, and Carlson's R_F taken by
+duplication (Carlson, Numer. Algorithms 10 (1995) 13; DLMF 19.36.1).
+The validated objects:
+
+* periods A = -2i I(e1, e2) and B = 2 I(e2, e3), normalized differential
+  omega = dx / (A w), modulus tau = +-B/A with Im tau > 0; the loop around
+  the other cut gives I(e3, e4) = I(e1, e2), the period consistency;
+* the Abel map A(p) = int_{e1}^{p} omega along the real axis from above,
+  reduced mod Z + tau Z, with the hyperelliptic involution giving
+  A((x, -w)) = -A((x, w)); for P the ray left of e1 gives
+  int_{-inf}^{e1} dx / sqrt f
+  = 2 R_F((e3 - e1)(e4 - e1), (e2 - e1)(e4 - e1), (e2 - e1)(e3 - e1)),
+  and w < 0 there, so that ray ends at Q and A(P) is its negative;
+* residue constants Res_P(x omega) = -1/A and Res_Q(x omega) = +1/A: in
+  the chart t = 1/x, x omega = -dt / (A t W(t)) with W = w t^2 analytic
+  at t = 0 and W(0) = +1 at P, -1 at Q;
+* oint_a x omega = -q1/2 + pi i / A: since w dw = q q' dx,
+  d log(q + w) = q' dx / w = (2x + q1) dx / w, and on the cut q + w = 2y
+  with |y|^2 = c, so q + w winds once around 0 along a;
 * the Jacobi theta series theta(z) = sum exp(i pi tau n^2 + 2 pi i n z),
   whose zero locus is the half-period (1 + tau)/2 mod the lattice.
 
@@ -44,23 +67,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
 from .divisor import corner_minor, divisor_poly, fiber_roots, rel_eval, track_divisor
 from .errors import NumericFailureError, PdTodaError, SingularCurveError
-from .lax import spectral_data, transfer_matrix
+from .lax import SpectralData, spectral_data, transfer_matrix
 from .toda import TodaState, evolve, index_shift, require_valid
-from .unipoly import UniPoly, horner, roots_numeric
+from .unipoly import UniPoly, horner
 
 _GL_CACHE: dict = {}
-#: refinement stops with an error beyond this many panels on one path
-_MAX_PANELS = 2 ** 16
-#: panels evaluated per numpy batch, which keeps the node arrays small
-_CHUNK = 1024
 #: bound on the two principal-divisor residuals of theta_check (lattice units)
 PRINCIPAL_DIVISOR_TOL = 1e-8
+#: w(x + i0) / sqrt|f(x)| when k branch points lie above x
+_W_PHASE = (-1, -1j, 1, 1j, -1)
 
 
 def _gl(n: int):
@@ -69,21 +89,40 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _track(roots, w0: complex):
-    """Continue a square root along an ordered array of its principal
-    values: roots[k] is negated when the cumulative parity of nearest-root
-    flips up to k is odd, where step k flips when -roots[k] lies nearer
-    than roots[k] to roots[k - 1] (to w0 for k = 0).  Up to exact ties these
-    are the signs that stepping from w0 to the nearer of +-roots[k] at each
-    point picks."""
-    prev = np.concatenate(([w0], roots[:-1]))
-    flips = (roots * prev.conj()).real < 0
-    return np.where(np.cumsum(flips) % 2 == 1, -roots, roots)
+def carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z) for nonnegative x, y, z with at most one zero.
+
+    Duplication x -> (x + lam) / 4 with lam = sqrt(xy) + sqrt(yz) + sqrt(zx)
+    leaves R_F unchanged and shrinks the spread of the arguments fourfold;
+    once it is below 1e-3 of their mean, the fifth-order Taylor series in
+    the relative deviations is exact to rounding (DLMF 19.36.1).
+    """
+    for _ in range(100):
+        mean = (x + y + z) / 3
+        if max(abs(mean - x), abs(mean - y), abs(mean - z)) <= 1e-3 * mean:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    else:
+        raise NumericFailureError(f"R_F duplication did not converge at {(x, y, z)}")
+    dx, dy = 1 - x / mean, 1 - y / mean
+    dz = -(dx + dy)
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(mean)
 
 
-def _uniform(a: float, b: float):
-    """Panel edges on [a, b]: 8 equal panels, doubled at each level."""
-    return lambda level: np.linspace(a, b, 8 * 2 ** level + 1)
+def interval_integral(branch, a: float, b: float) -> float:
+    """int_a^b dx / sqrt|f| for a < b with no branch point inside (a or b
+    may be one), f monic with the four real roots ``branch``."""
+    X = [math.sqrt(abs(b - e)) for e in branch]
+    Y = [math.sqrt(abs(a - e)) for e in branch]
+
+    def u2(i, j, k, l):
+        return ((X[i] * X[j] * Y[k] * Y[l] + Y[i] * Y[j] * X[k] * X[l]) / (b - a)) ** 2
+
+    return 2 * carlson_rf(u2(0, 1, 2, 3), u2(0, 2, 1, 3), u2(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +184,7 @@ class EllipticModel:
 
     state: TodaState
     prods: tuple             # conserved products (prod V, prod I), from validation
+    curve: SpectralData      # the state's spectral data, shared by its orbit
     q: UniPoly
     c: object
     f: UniPoly
@@ -152,14 +192,6 @@ class EllipticModel:
     a_period: complex
     b_period: complex
     tau: complex
-    quad_tol: float
-    _span: float = field(default=0.0, repr=False)
-    _w_mid12: complex = field(default=0j, repr=False)
-    _w_mid23: complex = field(default=0j, repr=False)
-    _w_mid34: complex = field(default=0j, repr=False)
-    _abel_cache: dict = field(default_factory=dict, repr=False)
-    _up: complex = field(default=0j, repr=False)     # int dx/w over the first leg
-    _w_top: complex = field(default=0j, repr=False)  # w at its top, e1 + i span
     _qc: list = field(init=False, repr=False)
     _fc: list = field(init=False, repr=False)
 
@@ -170,8 +202,12 @@ class EllipticModel:
     # -- lattice helpers -------------------------------------------------
 
     def lattice_reduce(self, z: complex) -> complex:
+        """z mod Z + tau Z, with the 1-part in [-1/2, 1/2) and the tau-part
+        in [0, 1).  Re A(P) is 0 on these lattices, so it must not sit on
+        an edge of the 1-part; the tau-part of k_vec enters the prediction
+        (only z_P picks it up, and dlogtheta(z + tau) = dlogtheta(z) - 2 pi i)."""
         u, v = self._components(z)
-        return (u - math.floor(u)) + (v - math.floor(v)) * self.tau
+        return (u - math.floor(u + 0.5)) + (v - math.floor(v)) * self.tau
 
     def lattice_distance(self, z: complex) -> float:
         u, v = self._components(z)
@@ -192,202 +228,60 @@ class EllipticModel:
     def fval(self, x: complex) -> complex:
         return horner(self._fc, x)
 
-    # -- integration core --------------------------------------------------
-
-    def _integrate(self, path, edges, w0: complex, with_x: bool = False):
-        """Composite 16-point Gauss-Legendre integral along a path s -> x(s).
-
-        ``path(s)`` returns (x, jac, radicand) on an array of s.  The
-        integrand is [x] jac / r, where r = sqrt(radicand) is continued from
-        w0 by :func:`_track` through every node and panel edge in order, so
-        jac is dx/ds times whatever factor of w the tracked root leaves out.
-        ``edges(level)`` gives the panel edges in s at each refinement
-        level; levels rise until two successive values agree to quad_tol.
-        Returns (integral, r at the last edge).
-        """
-        nodes, weights = _gl(16)
-        prev = None
-        for level in count():
-            s_edges = edges(level)
-            if len(s_edges) > _MAX_PANELS + 1:
-                raise NumericFailureError("path integral did not converge")
-            total, r_end = 0j, w0
-            for k in range(0, len(s_edges) - 1, _CHUNK):
-                a = s_edges[k:k + _CHUNK + 1]
-                lo, hi = a[:-1, None], a[1:, None]
-                half = (hi - lo) / 2
-                # each row: the panel's nodes, then its right edge
-                s = np.hstack((lo + half + half * nodes, hi))
-                x, jac, radicand = path(s)
-                r = _track(np.sqrt(np.asarray(radicand, dtype=complex)).ravel(), r_end)
-                r_end = r[-1]
-                vals = jac / r.reshape(s.shape)
-                if with_x:
-                    vals = vals * x
-                total += np.sum((vals[:, :-1] @ weights) * half[:, 0])
-            if prev is not None and abs(total - prev) <= self.quad_tol * (1 + abs(total)):
-                return complex(total), complex(r_end)
-            prev = total
-
-    def _leg_edges(self, z0: complex, z1: complex, level: int):
-        """Graded panel edges in s for x = z0 + (z1 - z0) s: each panel
-        spans a quarter of the distance from its start to the nearest branch
-        point, halved at every level."""
-        dz = z1 - z0
-        scale = 4 * 2 ** level * abs(dz)
-        # abel_finite keeps its targets this far out; the floor only rules
-        # out a zero step
-        floor = 1e-9 * self._span
-        edges = [0.0]
-        while edges[-1] < 1.0 and len(edges) <= _MAX_PANELS + 1:
-            x = z0 + dz * edges[-1]
-            d = max(min(abs(x - e) for e in self.branch), floor)
-            edges.append(min(1.0, edges[-1] + d / scale))
-        return np.array(edges)
-
-    def _leg(self, z0: complex, z1: complex, w0: complex):
-        """int dx / w along the straight leg z0 -> z1 and the continued w at
-        z1, starting from w = w0 at z0."""
-        if z0 == z1:
-            return 0j, w0
-        dz = z1 - z0
-
-        def path(s):
-            x = z0 + dz * s
-            return x, dz, self.fval(x)
-
-        return self._integrate(path, lambda level: self._leg_edges(z0, z1, level), w0)
-
-    def _first_leg(self):
-        """e1 -> e1 + iH with x = e1 + iH s^2, so w = s sqrt(iH) sqrt(rest(x))
-        with rest = f / (x - e1); the principal sqrt(rest(e1)) at s = 0
-        defines the global sheet.  Returns (int dx/w, w at the top)."""
-        e1, e2, e3, e4 = self.branch
-        iH = 1j * self._span
-        sq_iH = cmath.sqrt(iH)
-
-        def path(s):
-            x = e1 + iH * s * s
-            # dx = 2 iH s ds; the factor s sqrt(iH) of w is not tracked
-            return x, 2 * iH / sq_iH, (x - e2) * (x - e3) * (x - e4)
-
-        up, r_top = self._integrate(path, _uniform(0.0, 1.0),
-                                    cmath.sqrt((e1 - e2) * (e1 - e3) * (e1 - e4)))
-        return up, sq_iH * r_top
-
-    def _cut_integral(self, ea: float, eb: float, w_mid: complex, with_x: bool = False) -> complex:
-        """int_{ea}^{eb} [x] dx / w across a segment whose endpoints are
-        branch points; x = m + h sin(theta) removes both singularities.
-
-        On the segment f factors as -h^2 cos^2(theta) * rest(x) with rest
-        carried by the two remaining branch points, so w = s h cos(theta)
-        sqrt(-rest(x)) with a constant phase s: -rest keeps one sign on the
-        segment, so the tracked root never flips.  ``w_mid``, the continued
-        w at the midpoint, anchors s.
-        """
-        m = (ea + eb) / 2
-        h = (eb - ea) / 2
-        others = [e for e in self.branch if not (abs(e - ea) < 1e-14 or abs(e - eb) < 1e-14)]
-        if len(others) != 2:
-            raise NumericFailureError("cut endpoints must be two distinct branch points")
-        o1, o2 = others
-
-        def path(th):
-            x = m + h * np.sin(th)
-            # dx = h cos(theta) dtheta cancels the factor h cos(theta) of w
-            return x, 1.0, -(x - o1) * (x - o2)
-
-        return self._integrate(path, _uniform(-math.pi / 2, math.pi / 2), w_mid, with_x)[0]
-
     # -- Abel map ----------------------------------------------------------
 
     def abel_finite(self, x0: float, w0: complex) -> complex:
-        """A((x0, w0)) for a real x0 in a region where f > 0."""
-        key = ("fin", complex(x0), complex(w0))
-        if key in self._abel_cache:
-            return self._abel_cache[key]
-        if min(abs(x0 - e) for e in self.branch) < 1e-9 * self._span:
+        """A((x0, w0)) for a real x0 in a region where f > 0: the integral of
+        dx / w(x + i0) along the real axis from e1, one interval per gap."""
+        es = self.branch
+        if min(abs(x0 - e) for e in es) < 1e-9 * (es[3] - es[0]):
             raise NumericFailureError("target too close to a branch point")
-        if self.fval(complex(x0)).real <= 0:
+        above = sum(e > x0 for e in es)
+        if above % 2:
             raise NumericFailureError("abel_finite expects a target off the cuts")
-        H = self._span
-        e1 = complex(self.branch[0])
-        over, w_over = self._leg(e1 + 1j * H, x0 + 1j * H, self._w_top)
-        down, w_end = self._leg(x0 + 1j * H, complex(x0), w_over)
-        total = (self._up + over + down) / self.a_period
+        if x0 < es[0]:
+            # walked backwards, where w = -sqrt f
+            total = interval_integral(es, x0, es[0])
+        else:
+            pts = [e for e in es if e < x0] + [x0]
+            total = sum(interval_integral(es, a, b) / _W_PHASE[3 - k]
+                        for k, (a, b) in enumerate(zip(pts, pts[1:])))
+        total /= self.a_period
+        w_end = _W_PHASE[above] * math.sqrt(abs(self.fval(x0)))
         # involution: landing on the opposite sheet negates the map
         if abs(w_end - w0) > abs(w_end + w0):
-            total = -total
-            w_reached = -w_end
-        else:
-            w_reached = w_end
-        if abs(w_reached - w0) > 1e-6 * (1 + abs(w0)):
-            raise NumericFailureError("sheet tracking failed to reach the target point")
-        out = self.lattice_reduce(total)
-        self._abel_cache[key] = out
-        return out
+            total, w_end = -total, -w_end
+        if abs(w_end - w0) > 1e-6 * (1 + abs(w0)):
+            raise NumericFailureError("w0 is not a square root of f(x0)")
+        return self.lattice_reduce(total)
 
     def abel_infinity(self) -> complex:
         """A(P), the point over x = infinity with w/x^2 -> +1."""
-        if "P" in self._abel_cache:
-            return self._abel_cache["P"]
-        H = self._span
-        e1 = complex(self.branch[0])
-        T = -(abs(self.branch[0]) + abs(self.branch[3]) + 10.0) * 3
-        over, w_over = self._leg(e1 + 1j * H, T + 1j * H, self._w_top)
-        down, w_end = self._leg(T + 1j * H, complex(T), w_over)
-        if abs(w_end.imag) > 1e-6 * abs(w_end):
-            raise NumericFailureError("w should be real on the far real axis")
-
-        tail = self._tail_integral(T, w_end)
-        total = (self._up + over + down + tail) / self.a_period
-        # w > 0 at T means the path runs on to P; otherwise it reaches Q = -P
-        value = total if w_end.real > 0 else -total
-        out = self.lattice_reduce(value)
-        self._abel_cache["P"] = out
-        return out
-
-    def _tail_integral(self, T: float, w_T: complex) -> complex:
-        """int_{T}^{-inf} dx/w for T < 0 left of every branch point, with
-        x = T / s for s from 0 to 1 and the orientation flipped.  f > 0 on
-        the whole ray, so w keeps the sign of w_T there."""
-        def path(s):
-            x = T / s
-            return x, -T / (s * s), self.fval(x)
-
-        return -self._integrate(path, _uniform(0.0, 1.0), w_T)[0]
+        e1, e2, e3, e4 = self.branch
+        ray = 2 * carlson_rf((e3 - e1) * (e4 - e1), (e2 - e1) * (e4 - e1), (e2 - e1) * (e3 - e1))
+        # int_{e1}^{-inf} dx/w with w = -sqrt f reaches Q = -P
+        return self.lattice_reduce(-ray / self.a_period)
 
     # -- residues and the a-cycle x-integral --------------------------------
 
-    def residue_at_infinity(self, sheet: int, rho_scale: float = 0.05, nodes: int = 256) -> complex:
+    def residue_at_infinity(self, sheet: int) -> complex:
         """Res(x omega) at the point over infinity on the given sheet
-        (sheet=+1 is P), via a trapezoid contour in the chart t = 1/x."""
-        emax = max(abs(e) for e in self.branch)
-        rho = rho_scale / max(emax, 1.0)
-        total = 0j
-        for k in range(nodes):
-            th = 2 * math.pi * k / nodes
-            t = rho * cmath.exp(1j * th)
-            F = 1 + 0j
-            for e in self.branch:
-                F *= (1 - complex(e) * t)
-            W = sheet * cmath.sqrt(F)  # W(0) = sheet; F stays near 1
-            total += 1 / W
-        avg = total / nodes
-        return -avg / self.a_period
+        (sheet=+1 is P)."""
+        return -sheet / self.a_period
 
     def a_cycle_x_integral(self) -> complex:
-        """oint_a x omega = (2/A) int_{e1}^{e2} x dx / w."""
-        return 2 * self._cut_integral(self.branch[0], self.branch[1], self._w_mid12, with_x=True) / self.a_period
+        """oint_a x omega, by the a-cycle integral of d log(q + w)."""
+        return -float(self.q.coeff(1)) / 2 + math.pi * 1j / self.a_period
 
     def period_consistency(self) -> float:
         """The loops around the two cuts are homologous with opposite
-        orientation: 2 int_{e1}^{e2} dx/w + 2 int_{e3}^{e4} dx/w = 0."""
-        other = 2 * self._cut_integral(self.branch[2], self.branch[3], self._w_mid34)
-        return abs(self.a_period + other) / abs(self.a_period)
+        orientation, so I(e3, e4) = I(e1, e2)."""
+        e1, e2, e3, e4 = self.branch
+        i12 = interval_integral(self.branch, e1, e2)
+        return abs(interval_integral(self.branch, e3, e4) - i12) / i12
 
 
-def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
+def elliptic_model(state: TodaState) -> EllipticModel:
     """Build the genus-1 curve model for an N=2, M=1 state."""
     prods = require_valid(state)
     if state.N != 2 or state.M != 1:
@@ -401,55 +295,30 @@ def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
     if c != prods[0] * prods[1]:
         raise PdTodaError("constant term does not equal prod(V) prod(I)")
     f = q * q - UniPoly.const(4 * c)
-    roots = roots_numeric(f)
-    if max(abs(r.imag) for r in roots) > 1e-9 * max(1.0, max(abs(r) for r in roots)):
+    # f = (q - 2 sqrt c)(q + 2 sqrt c), so the branch points are
+    # -q1/2 -+ sqrt(d +- 2 sqrt c) with d = q1^2/4 - q0
+    q1 = q.coeff(1)
+    d = float(q1 * q1 / 4 - q.coeff(0))
+    s = 2 * math.sqrt(float(c))
+    if d <= s:
         raise SingularCurveError("branch points are not real; data too close to singular")
-    es = sorted(r.real for r in roots)
-    span = es[3] - es[0]
+    mid, outer, inner = -float(q1) / 2, math.sqrt(d + s), math.sqrt(d - s)
+    es = (mid - outer, mid - inner, mid + inner, mid + outer)
     gaps = [es[i + 1] - es[i] for i in range(3)]
-    if min(gaps) < 1e-7 * max(span, 1.0):
+    if min(gaps) < 1e-7 * max(es[3] - es[0], 1.0):
         raise SingularCurveError("coincident branch points: singular spectral curve")
 
-    model = EllipticModel(
-        state=state,
-        prods=prods,
-        q=q,
-        c=c,
-        f=f,
-        branch=tuple(es),
-        a_period=0j,
-        b_period=0j,
-        tau=0j,
-        quad_tol=quad_tol,
-        _span=span,
-    )
-
-    # anchor the three midpoint sheets by continuation from the first leg,
-    # over at height span and then down with geometrically graded steps, so
-    # each step stays a small fraction of the height even near narrow gaps
-    model._up, model._w_top = model._first_leg()
-    top = complex(es[0], span)
-    for attr, mid in (("_w_mid12", (es[0] + es[1]) / 2),
-                      ("_w_mid23", (es[1] + es[2]) / 2),
-                      ("_w_mid34", (es[2] + es[3]) / 2)):
-        _, w_over = model._leg(top, complex(mid, span), model._w_top)
-        descent = mid + 1j * span * np.geomspace(1.0, 1e-7, 601)
-        setattr(model, attr, complex(_track(np.sqrt(model.fval(descent)), w_over)[-1]))
-
-    a_per = 2 * model._cut_integral(es[0], es[1], model._w_mid12)
-    b_per = 2 * model._cut_integral(es[1], es[2], model._w_mid23)
-    if abs(a_per) < 1e-14:
-        raise NumericFailureError("degenerate a-period")
+    # w = +i sqrt|f| on [e1, e2] and +sqrt f on [e2, e3]
+    a_per = -2j * interval_integral(es, es[0], es[1])
+    b_per = complex(2 * interval_integral(es, es[1], es[2]))
     tau = b_per / a_per
     if tau.imag < 0:
         b_per = -b_per
         tau = -tau
     if tau.imag <= 0:
         raise NumericFailureError("failed to orient the period lattice")
-    model.a_period = a_per
-    model.b_period = b_per
-    model.tau = tau
-    return model
+    return EllipticModel(state=state, prods=prods, curve=sd, q=q, c=c, f=f, branch=es,
+                         a_period=a_per, b_period=b_per, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +326,17 @@ def elliptic_model(state: TodaState, quad_tol: float = 1e-12) -> EllipticModel:
 # ---------------------------------------------------------------------------
 
 
-def divisor_point(state: TodaState) -> tuple:
+def divisor_point(state: TodaState, curve: SpectralData | None = None) -> tuple:
     """The finite divisor point (x, y) of an N=2, M=1 state, located by the
     corner minors: x is the root of the divisor polynomial and y the fiber
-    root killing both D_NN and D_1N."""
-    dp = divisor_poly(state, "X")
+    root killing both D_NN and D_1N.  ``curve`` is the spectral data of
+    any state on the same isospectral orbit (phi is conserved by evolve and
+    by index_shift); without it the curve is built from the state."""
+    sd = curve if curve is not None else spectral_data(state)
+    dp = divisor_poly(state, "X", curve=sd)
     if dp.degree != 1:
         raise PdTodaError("expected a degree-1 divisor")
     x0 = dp.x_sum()
-    sd = spectral_data(state)
     X = transfer_matrix(state)
     d_nn = corner_minor(X, 2, 2)
     d_1n = corner_minor(X, 1, 2)
@@ -501,7 +372,7 @@ class ThetaContext:
         return zP, zQ
 
 
-def theta_context(state: TodaState, quad_tol: float = 1e-12) -> ThetaContext:
+def theta_context(state: TodaState) -> ThetaContext:
     """Assemble periods, Abel images, residues and the t=0 calibration.
 
     The per-step translation on the Jacobian is the class of (fiber point
@@ -514,7 +385,7 @@ def theta_context(state: TodaState, quad_tol: float = 1e-12) -> ThetaContext:
     matched to +-A((0, prodI or prodV) - Q); the match itself is a verified
     output (it is the executable content of the time-shift linearization).
     """
-    model = elliptic_model(state, quad_tol=quad_tol)
+    model = elliptic_model(state)
     tau = model.tau
     K = (1 + tau) / 2  # genus-1 theta zero locus
 
@@ -528,13 +399,13 @@ def theta_context(state: TodaState, quad_tol: float = 1e-12) -> ThetaContext:
     w_V = model.w_from_y(0.0, complex(prods[0]))
     abel_AV = model.abel_finite(0.0, w_V)
 
-    x0, y0 = divisor_point(state)
+    x0, y0 = divisor_point(state, model.curve)
     w0 = model.w_from_y(float(x0), y0)
     abel_D0 = model.abel_finite(float(x0), w0)
 
     # measure the per-step Abel increment from the exact divisor track
     s1 = evolve(state)
-    x1, y1 = divisor_point(s1)
+    x1, y1 = divisor_point(s1, model.curve)
     w1 = model.w_from_y(float(x1), y1)
     abel_D1 = model.abel_finite(float(x1), w1)
     measured = abel_D1 - abel_D0
@@ -592,12 +463,11 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     """Full genus-1 validation for one state: principal-divisor identities,
     time predictions t = 0..steps and the one-site shift, all against the
     exact divisor track.  Returns a JSON-ready report."""
-    prods = require_valid(state)
     ctx = theta_context(state)
     model = ctx.model
 
     # principal divisor checks: N (A(P) - A(Q)) and the divisor of x
-    w_V = model.w_from_y(0.0, complex(prods[0]))
+    w_V = model.w_from_y(0.0, complex(model.prods[0]))
     abel_V = model.abel_finite(0.0, w_V)
     torsion = model.lattice_distance(2 * ctx.k_vec)
     x_div = model.lattice_distance(ctx.abel_A1 + abel_V)
@@ -627,7 +497,7 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     for t, dp in enumerate(track):
         add_entry(0, t, complex(float(dp.x_sum())))
     shifted = index_shift(state, 1)
-    add_entry(1, 0, complex(float(divisor_poly(shifted, "X").x_sum())))
+    add_entry(1, 0, complex(float(divisor_poly(shifted, "X", curve=model.curve).x_sum())))
 
     return {
         "tau": [ctx.tau.real, ctx.tau.imag],

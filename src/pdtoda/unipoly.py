@@ -183,10 +183,13 @@ class UniPoly:
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, value):
-        """Horner evaluation; exact for rationals, float/complex otherwise."""
+        """Exact Horner evaluation at a rational or an integer; floating-point
+        evaluation is :func:`horner` on converted coefficients."""
+        if not isinstance(value, (Q, int)):
+            raise TypeError("UniPoly evaluates exactly; use horner for floats")
         acc = value * 0
         for c in reversed(self.coeffs):
-            acc = acc * value + (c if isinstance(value, (Q, int)) else complex(c))
+            acc = acc * value + c
         return acc
 
     def __repr__(self) -> str:

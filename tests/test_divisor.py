@@ -23,7 +23,7 @@ from pdtoda.errors import PdTodaError
 from pdtoda.lax import band_params_of_matrix, char_poly, spectral_data, transfer_matrix
 from pdtoda.lmatrix import antitranspose
 from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json
-from pdtoda.unipoly import UniPoly, gcd_monic, roots_numeric
+from pdtoda.unipoly import UniPoly, gcd_monic, horner, roots_numeric
 
 
 def test_antitranspose_preserves_spectrum():
@@ -111,7 +111,8 @@ def test_corner_resultant_roots_are_common_zeros():
 
     for x0 in roots_numeric(R):
         coeffs = np.trim_zeros(
-            np.array([complex(phi.y_coeff(j)(x0)) for j in range(sd.M + 2)], dtype=complex), "b"
+            np.array([horner([complex(c) for c in phi.y_coeff(j).coeffs], x0) for j in range(sd.M + 2)],
+                     dtype=complex), "b"
         )
         ys = [y for y in np.roots(coeffs[::-1]) if abs(y) > 1e-12]
         assert min(rel_eval(minor, x0, y) for y in ys) < 1e-8

@@ -13,6 +13,7 @@ from pdtoda.unipoly import (
     UniPoly,
     gcd_monic,
     gcd_monic_euclid,
+    horner,
     root_residual,
     roots_numeric,
 )
@@ -29,6 +30,15 @@ def test_basic_arithmetic_and_normalization():
     x = UniPoly.x()
     assert (x + 1) * (x - 1) == x * x - 1
     assert (x ** 3).coeffs == (0, 0, 0, 1)
+
+
+def test_evaluation_is_exact_only():
+    p = UniPoly([Q(1, 3), 0, 2])
+    assert p(Q(1, 2)) == Q(5, 6)
+    assert p(3) == Q(55, 3)
+    with pytest.raises(TypeError):
+        p(0.5)
+    assert horner([complex(c) for c in p.coeffs], 0.5) == complex(float(Q(1, 3)) + 0.5)
 
 
 def test_divmod_exact_and_remainder():

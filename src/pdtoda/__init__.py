@@ -4,8 +4,9 @@ generalized periodic discrete Toda lattice."""
 from .bilaurent import BiLaurent, newton_interior
 from .divisor import (
     DivisorPoly,
+    corner_resultants,
+    divisor_of,
     divisor_poly,
-    compute_R_S,
     smoothness_probe,
     track_divisor,
     zeros_factorization_check,

@@ -222,13 +222,6 @@ class BiLaurent:
             {(i, j - 1): j * c for (i, j), c in self.terms.items() if j != 0}, _clean=False
         )
 
-    def eval(self, xv, yv) -> complex:
-        """Floating evaluation (yv must be nonzero if negative powers occur)."""
-        acc = 0j
-        for (i, j), c in self.sorted_items():
-            acc += complex(c) * (xv ** i) * (yv ** j)
-        return acc
-
     def __repr__(self) -> str:
         if not self.terms:
             return "BiLaurent(0)"

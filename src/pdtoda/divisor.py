@@ -8,10 +8,14 @@ degree-g polynomial U(x) carrying the x-coordinates of the finite divisor:
     R(x) = res_y(phi, y*D_NN),   S(x) = res_y(phi, y*D_1N),
     U(x) = gcd_monic(R, S),      deg R = 2g,   deg U = g.
 
-Four related operators share the same spectral curve: X itself, its
-antitranspose X* = J X^T J, the index-shifted sigma^-1 X, and
-(sigma^-1 X)*.  Each comes with its own divisor polynomial, and the four
-corner resultants of X factor into pairs of them (up to a nonzero scalar):
+The operators on one spectral curve are named in ``OPERATORS``, each by
+the index shift of the state it is built from and whether it is
+antitransposed (X* = J X^T J): "X" is X, "Xstar" is X*, "shift" is
+sigma^-1 X, "shiftstar" is (sigma^-1 X)* and "shiftup" is sigma X.
+``operators`` builds one X per index shift and antitransposes it for the
+starred name, and ``divisor_of`` takes U of any of them on the shared
+curve.  The four corner resultants of X factor into pairs of these
+divisor polynomials (up to a nonzero scalar):
 
     res(phi, y*D_NN)  ~  U_X       * U_((sigma^-1 X)*),
     res(phi, y*D_11)  ~  U_(sigma X) * U_(X*),
@@ -43,24 +47,26 @@ from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
 from .unipoly import UniPoly, gcd_monic, horner, roots_numeric
 
-#: the four operators sharing one spectral curve ("shift" is sigma^-1 X);
-#: "shiftup" (sigma X) additionally appears in two factorization rows
+#: operator name -> (index shift of the state, antitransposed?)
+OPERATORS = {"X": (0, False), "Xstar": (0, True), "shift": (-1, False),
+             "shiftstar": (-1, True), "shiftup": (1, False)}
+#: the four operators whose divisors are the paper's; "shiftup" (sigma X)
+#: additionally appears in two factorization rows
 VARIANTS = ("X", "Xstar", "shift", "shiftstar")
 
 
-def operator_matrix(state: TodaState, variant: str = "X") -> LaurentMatrix:
-    """Build X, X*, sigma^-1 X, (sigma^-1 X)* or sigma X from the state."""
-    if variant == "X":
-        return transfer_matrix(state)
-    if variant == "Xstar":
-        return antitranspose(transfer_matrix(state))
-    if variant == "shift":
-        return transfer_matrix(index_shift(state, -1))
-    if variant == "shiftstar":
-        return antitranspose(transfer_matrix(index_shift(state, -1)))
-    if variant == "shiftup":
-        return transfer_matrix(index_shift(state, 1))
-    raise PdTodaError(f"unknown operator variant {variant!r}")
+def operators(state: TodaState, variants) -> dict:
+    """The named operators of ``OPERATORS``, built with one X per index
+    shift; a starred name antitransposes the X of its shift."""
+    built, out = {}, {}
+    for v in variants:
+        if v not in OPERATORS:
+            raise PdTodaError(f"unknown operator variant {v!r}")
+        shift, star = OPERATORS[v]
+        if shift not in built:
+            built[shift] = transfer_matrix(index_shift(state, shift) if shift else state)
+        out[v] = antitranspose(built[shift]) if star else built[shift]
+    return out
 
 
 def shift_conjugation_matrix(N: int, inverse: bool = False) -> LaurentMatrix:
@@ -112,36 +118,12 @@ def minor_resultant(phi_cleared: BiLaurent, minor: BiLaurent) -> UniPoly:
     return stripped
 
 
-def _corner_resultants(X: LaurentMatrix, phi_cleared: BiLaurent, N: int):
-    """R = res_y(phi, y D_NN) and S = res_y(phi, y D_1N) of X - xE, each
-    x-content stripped."""
-    R = minor_resultant(phi_cleared, corner_minor(X, N, N))
-    S = minor_resultant(phi_cleared, corner_minor(X, 1, N))
-    return R, S
-
-
-def compute_R_S(state_or_matrix, N: int | None = None, M: int | None = None, g: int | None = None):
-    """The two corner resultants (R, S) of an operator, x-content stripped.
-
-    Raises :class:`NonGenericDataError` unless deg R = deg S = 2g.
-    """
-    if isinstance(state_or_matrix, TodaState):
-        require_valid(state_or_matrix)
-        X = transfer_matrix(state_or_matrix)
-        sd = char_poly(X, state_or_matrix.N, state_or_matrix.M)
-        N, g = sd.N, sd.g
-    else:
-        X = state_or_matrix
-        if N is None or M is None or g is None:
-            raise PdTodaError("matrix input needs explicit N, M, g")
-        sd = char_poly(X, N, M)
-    R, S = _corner_resultants(X, sd.phi_cleared, N)
-    for name, poly in (("R", R), ("S", S)):
-        if poly.degree != 2 * g:
-            raise NonGenericDataError(
-                f"deg {name} = {poly.degree}, expected 2g = {2 * g}; non-generic data"
-            )
-    return R, S
+def corner_resultants(X: LaurentMatrix, sd: SpectralData):
+    """R = res_y(phi, y D_NN) and S = res_y(phi, y D_1N) of X - xE on the
+    curve of ``sd``, each x-content stripped."""
+    phi, N = sd.phi_cleared, sd.N
+    return (minor_resultant(phi, corner_minor(X, N, N)),
+            minor_resultant(phi, corner_minor(X, 1, N)))
 
 
 @dataclass(frozen=True)
@@ -172,29 +154,24 @@ def divisor_poly(state: TodaState, variant: str = "X", *,
 
     ``curve`` is the state's spectral data when the caller already has it:
     phi is conserved by the flow, so one curve serves a whole trajectory.
-    Without it the curve is built from the state's own X.
+    Without it the curve is built from the operator itself, whose phi
+    equals that of X for every variant.
     """
     require_valid(state)
-    X = transfer_matrix(state)
-    if curve is None:
-        sd = char_poly(X, state.N, state.M)
-    elif (curve.N, curve.M) != (state.N, state.M):
+    if curve is not None and (curve.N, curve.M) != (state.N, state.M):
         raise PdTodaError(f"curve of shape ({curve.N},{curve.M}) given for "
                           f"a ({state.N},{state.M}) state")
-    else:
-        sd = curve
-    if sd.g and variant != "X":
-        X = antitranspose(X) if variant == "Xstar" else operator_matrix(state, variant)
-    return _divisor_of(X, sd, variant, state.t)
+    op = operators(state, (variant,))[variant]
+    return divisor_of(op, curve or char_poly(op, state.N, state.M), state.t, variant)
 
 
-def _divisor_of(X: LaurentMatrix, sd: SpectralData, variant: str, t: int,
-                corners=None) -> DivisorPoly:
+def divisor_of(X: LaurentMatrix, sd: SpectralData, t: int, variant: str = "X", *,
+               corners=None) -> DivisorPoly:
     """U of the operator X on the curve of ``sd``; ``corners`` is X's (R, S)
     when the caller already has them."""
     if sd.g == 0:
         return DivisorPoly(poly=UniPoly.one(), t=t, variant=variant)
-    ups = gcd_monic(*(corners or _corner_resultants(X, sd.phi_cleared, sd.N)))
+    ups = gcd_monic(*(corners or corner_resultants(X, sd)))
     if ups.degree != sd.g:
         raise NonGenericDataError(
             f"gcd degree {ups.degree} != genus {sd.g} for variant {variant}"
@@ -211,25 +188,14 @@ def zeros_factorization_check(state: TodaState) -> dict:
     named booleans; raises on non-generic data.
     """
     require_valid(state)
-    X = transfer_matrix(state)
+    ops = operators(state, OPERATORS)
+    X = ops["X"]
     sd = char_poly(X, state.N, state.M)
     N = sd.N
     phi = sd.phi_cleared
-
-    # one curve serves all five operators; only the shifted ones need a new X
-    X_down = transfer_matrix(index_shift(state, -1))
-    operators = {
-        "X": X,
-        "Xstar": antitranspose(X),
-        "shift": X_down,
-        "shiftstar": antitranspose(X_down),
-        "shiftup": transfer_matrix(index_shift(state, 1)),
-    }
-    R, S = _corner_resultants(X, phi, N)
-    ups = {
-        v: _divisor_of(op, sd, v, state.t, (R, S) if v == "X" else None).poly
-        for v, op in operators.items()
-    }
+    R, S = corner_resultants(X, sd)
+    ups = {v: divisor_of(op, sd, state.t, v, corners=(R, S) if v == "X" else None).poly
+           for v, op in ops.items()}
     known = {(N, N): R, (1, N): S}
     pairs = {
         (N, N): ("X", "shiftstar"),
@@ -280,6 +246,12 @@ def fiber_roots(p: BiLaurent, x0: complex):
     return [y for y in np.roots(coeffs[::-1]) if abs(y) > 1e-13]
 
 
+def fiber_point(phi: BiLaurent, x0: complex, a: BiLaurent, b: BiLaurent) -> complex:
+    """The root y of phi(x0, y) where the minors ``a`` and ``b`` are
+    smallest together: the divisor point over x0."""
+    return min(fiber_roots(phi, x0), key=lambda y: rel_eval(a, x0, y) + rel_eval(b, x0, y))
+
+
 def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
     """At each common zero of {D_N1, D_NN} on the curve, every D_Nk
     (k = 1..N) vanishes as well; numeric screen at the sampled roots."""
@@ -297,26 +269,25 @@ def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
         raise NonGenericDataError("no common zeros found")
     minors = [corner_minor(X, N, k) for k in range(1, N + 1)]
     for x0 in roots_numeric(common):
-        ys = fiber_roots(phi, x0)
-        # the divisor point is the y on the curve killing both corner minors
-        best = min(ys, key=lambda y: rel_eval(minors[0], x0, y) + rel_eval(minors[N - 1], x0, y))
+        best = fiber_point(phi, x0, minors[0], minors[N - 1])
         for m in minors:
             if rel_eval(m, x0, best) > tol:
                 return False
     return True
 
 
-def track_divisor(state: TodaState, steps: int) -> list:
+def track_divisor(state: TodaState, steps: int, curve: SpectralData | None = None) -> list:
     """U_t for t = 0..steps along the exact trajectory.
 
-    phi is conserved by the flow, so the curve is built once, at t = 0, and
-    every step's ``divisor_poly`` takes it; each step still validates its
-    state and builds its own X_t for the corner minors.  Isospectrality has
-    its own exact check in ``verify``.
+    phi is conserved by the flow, so one curve serves every step's
+    ``divisor_poly``: ``curve`` when the caller has it, else the curve
+    built at t = 0.  Each step still validates its state and builds its own
+    X_t for the corner minors.  Isospectrality has its own exact check in
+    ``verify``.
     """
     out = []
     s = state
-    sd = None
+    sd = curve
     for k in range(steps + 1):
         try:
             if sd is None:

@@ -70,9 +70,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import corner_minor, divisor_poly, fiber_roots, rel_eval, track_divisor
+from .divisor import corner_minor, divisor_of, divisor_poly, fiber_point, rel_eval, track_divisor
 from .errors import NumericFailureError, PdTodaError, SingularCurveError
-from .lax import SpectralData, spectral_data, transfer_matrix
+from .lax import SpectralData, char_poly, spectral_data, transfer_matrix
 from .toda import TodaState, evolve, index_shift, require_valid
 from .unipoly import UniPoly, horner
 
@@ -328,21 +328,20 @@ def elliptic_model(state: TodaState) -> EllipticModel:
 
 def divisor_point(state: TodaState, curve: SpectralData | None = None) -> tuple:
     """The finite divisor point (x, y) of an N=2, M=1 state, located by the
-    corner minors: x is the root of the divisor polynomial and y the fiber
-    root killing both D_NN and D_1N.  ``curve`` is the spectral data of
-    any state on the same isospectral orbit (phi is conserved by evolve and
-    by index_shift); without it the curve is built from the state."""
-    sd = curve if curve is not None else spectral_data(state)
-    dp = divisor_poly(state, "X", curve=sd)
-    if dp.degree != 1:
-        raise PdTodaError("expected a degree-1 divisor")
-    x0 = dp.x_sum()
+    corner minors of one X: x is the root of the divisor polynomial and y
+    the fiber root killing both D_NN and D_1N.  ``curve`` is the spectral
+    data of any state on the same isospectral orbit (phi is conserved by
+    evolve and by index_shift); without it the curve is built from X."""
+    require_valid(state)
+    if (state.N, state.M) != (2, 1) or (curve is not None and (curve.N, curve.M) != (2, 1)):
+        raise PdTodaError("divisor points need an N=2, M=1 state and curve")
     X = transfer_matrix(state)
+    sd = curve or char_poly(X, 2, 1)
+    x0 = divisor_of(X, sd, state.t).x_sum()
     d_nn = corner_minor(X, 2, 2)
     d_1n = corner_minor(X, 1, 2)
     xf = float(x0)
-    ys = fiber_roots(sd.phi_cleared, xf)
-    best = min(ys, key=lambda y: rel_eval(d_nn, xf, y) + rel_eval(d_1n, xf, y))
+    best = fiber_point(sd.phi_cleared, xf, d_nn, d_1n)
     if rel_eval(d_nn, xf, best) > 1e-7 or rel_eval(d_1n, xf, best) > 1e-7:
         raise NumericFailureError("could not locate the divisor point on the curve")
     return x0, best
@@ -472,7 +471,7 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     torsion = model.lattice_distance(2 * ctx.k_vec)
     x_div = model.lattice_distance(ctx.abel_A1 + abel_V)
 
-    track = track_divisor(state, steps)
+    track = track_divisor(state, steps, curve=model.curve)
     entries = []
     max_err = 0.0
     skipped = 0

@@ -42,9 +42,8 @@ from .bilaurent import BiLaurent
 from .divisor import (
     VARIANTS,
     common_zero_support_check,
+    corner_resultants,
     divisor_poly,
-    compute_R_S,
-    operator_matrix,
     shift_conjugation_matrix,
     smoothness_probe,
     track_divisor,
@@ -381,7 +380,7 @@ def _shift_conj(rng, ck):
         X = transfer_matrix(s)
         C = shift_conjugation_matrix(s.N)
         Ci = shift_conjugation_matrix(s.N, inverse=True)
-        ck.eq("C X C^-1 = X of sigma^-1 s", s, (C @ X) @ Ci, operator_matrix(s, "shift"))
+        ck.eq("C X C^-1 = X of sigma^-1 s", s, (C @ X) @ Ci, transfer_matrix(index_shift(s, -1)))
         cur = s
         for _ in range(s.N):
             cur = index_shift(cur, 1)
@@ -410,7 +409,8 @@ def _corner_res(rng, ck):
     for (N, M) in SMALL_CORPUS:
         s = random_state(N, M, rng)
         g = genus(N, M)
-        R, S = compute_R_S(s)
+        X = transfer_matrix(s)
+        R, S = corner_resultants(X, char_poly(X, N, M))
         ck.eq("[deg R, deg S] = [2g, 2g]", s, [R.degree, S.degree], [2 * g, 2 * g])
         degs[f"{N},{M}"] = [R.degree, S.degree, 2 * g]
     return {"degrees": degs}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pdtoda.bilaurent import BiLaurent, mul_add, newton_interior
+from pdtoda.divisor import rel_eval
 from pdtoda.errors import PdTodaError
 from pdtoda.rationals import Q, as_q
 from pdtoda.toda import random_state
@@ -55,7 +56,7 @@ def test_y_coefficients_roundtrip():
 
 
 def subs_exact(p: BiLaurent, xv, yv):
-    """Exact rational evaluation of p at (xv, yv): the oracle for eval."""
+    """Exact rational evaluation of p at (xv, yv): the oracle for rel_eval."""
     acc = Q(0)
     for (i, j), c in p.sorted_items():
         term = c * (as_q(xv) ** i)
@@ -68,8 +69,10 @@ def test_eval_matches_exact_substitution():
     rng = random.Random(4)
     p = BiLaurent({(i, j): Q(rng.randint(-3, 3)) for i in range(3) for j in range(-1, 2)})
     xv, yv = Q(3, 2), Q(-5, 3)
-    exact = subs_exact(p, xv, yv)
-    assert abs(p.eval(float(xv), float(yv)) - float(exact)) < 1e-12
+    # rel_eval is |p| over 1 + the sum of the term magnitudes
+    exact = abs(subs_exact(p, xv, yv))
+    mag = 1 + sum(abs(subs_exact(BiLaurent({k: c}), xv, yv)) for k, c in p.sorted_items())
+    assert abs(rel_eval(p, float(xv), float(yv)) - float(exact / mag)) < 1e-15
 
 
 def test_newton_interior_monomial():

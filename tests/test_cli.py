@@ -175,6 +175,26 @@ def test_divisor_track_is_pinned(nm, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIVISOR[nm]
 
 
+#: sha256 of ``verify --suite S --seed K``: these suites report no floats,
+#: so their reports compare byte for byte across platforms; recorded with
+#: the divisor operators built by a five-way if chain
+PINNED_VERIFY = {
+    ("divisor", 0): "3ff638989043cf27c091db543ab6cc8068775f3e9634330ae2424140ff60ae46",
+    ("divisor", 42): "3e14c6078b981b6de81e0a94e7720380937f72498e78f07f63c6dae8e90229c9",
+    ("lax", 0): "cda95b6e58b2a249743c26e879ec3a07ea55a04745c79212c77f9af0cde83730",
+    ("lax", 42): "6c4e9affd8d8b938e31e22862a6507adc1c53e2689e8ac6df306e877e83df6fe",
+    ("appendix", 0): "fe2a711f5ec4a9cb63317adbaefdd79a11e532f05af9b1ff8d2b21bc36c34dee",
+    ("appendix", 42): "c15e6003634ffd41c8a6c288bb286d1ad6d3856745a387085b7110f70e66f472",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(PINNED_VERIFY))
+def test_exact_verify_suites_are_pinned(suite, seed, capsys):
+    assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[suite, seed]
+
+
 @pytest.mark.parametrize("entry", ["1/0", "0.5", "1e3", "1_000", " 3/4 "])
 def test_exit_code_on_malformed_rational(tmp_path, entry):
     bad = tmp_path / "rational.json"

@@ -8,11 +8,10 @@ from pdtoda import cli, divisor, lax, lmatrix
 from pdtoda.divisor import (
     VARIANTS,
     common_zero_support_check,
-    compute_R_S,
     corner_minor,
+    corner_resultants,
     divisor_poly,
     divisor_report,
-    operator_matrix,
     rel_eval,
     shift_conjugation_matrix,
     smoothness_probe,
@@ -74,7 +73,7 @@ def test_shift_conjugation_identity():
         X = transfer_matrix(s)
         C = shift_conjugation_matrix(N)
         Ci = shift_conjugation_matrix(N, inverse=True)
-        assert (C @ X) @ Ci == operator_matrix(s, "shift")
+        assert (C @ X) @ Ci == transfer_matrix(index_shift(s, -1))
         assert spectral_data(index_shift(s, -1)).phi == spectral_data(s).phi
 
 
@@ -82,7 +81,7 @@ def test_shift_correspondence_4_2():
     rng = random.Random(74)
     s = random_state(4, 2, rng)
     p = band_params_of_matrix(transfer_matrix(s), 4, 2)
-    q = band_params_of_matrix(operator_matrix(s, "shiftstar"), 4, 2)
+    q = band_params_of_matrix(antitranspose(transfer_matrix(index_shift(s, -1))), 4, 2)
     assert all(q.a(1, i) == p.a(1, 4 - i) for i in range(1, 5))
     assert all(q.a(2, i) == p.a(2, 1 - i) for i in range(1, 5))
     assert all(q.b(i) == p.b(3 - i) for i in range(1, 5))
@@ -91,8 +90,8 @@ def test_shift_correspondence_4_2():
 def test_corner_resultant_degrees():
     rng = random.Random(75)
     for (N, M), g in [((2, 1), 1), ((3, 1), 2)]:
-        s = random_state(N, M, rng)
-        R, S = compute_R_S(s)
+        X = transfer_matrix(random_state(N, M, rng))
+        R, S = corner_resultants(X, char_poly(X, N, M))
         assert R.degree == 2 * g
         assert S.degree == 2 * g
 
@@ -104,7 +103,7 @@ def test_corner_resultant_roots_are_common_zeros():
     s = random_state(3, 1, rng)
     sd = spectral_data(s)
     X = transfer_matrix(s)
-    R, _ = compute_R_S(s)
+    R, _ = corner_resultants(X, sd)
     minor = corner_minor(X, 3, 3)
     phi = sd.phi_cleared
     import numpy as np
@@ -264,7 +263,7 @@ def test_exact_core_matches_oracles_on_grown_heights(N, M):
     for i, j in ((N, N), (1, N)):
         cleared = corner_minor(X, i, j).mul_y(1)
         assert resultant_y(phi, cleared) == resultant_y_direct(phi, cleared)
-    R, S = compute_R_S(s)
+    R, S = corner_resultants(X, spectral_data(s))
     U = gcd_monic(R, S)
     assert U == gcd_monic_euclid(R, S)
     assert U == divisor_poly(s).poly and U.degree == spectral_data(s).g
@@ -309,8 +308,29 @@ def test_xstar_divisor_reuses_x(monkeypatch):
     U = divisor_poly(s, "Xstar").poly
     assert calls == {"transfer_matrix": 1}
     monkeypatch.undo()
-    # oracle: the operator rebuilt from the state, with its own curve
-    assert U == gcd_monic(*compute_R_S(operator_matrix(s, "Xstar"), 4, 2, 4))
+    # oracle: the antitransposed X, with its own curve
+    Xs = antitranspose(transfer_matrix(s))
+    assert U == gcd_monic(*corner_resultants(Xs, char_poly(Xs, 4, 2)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_divisor_poly_builds_one_x_for_every_variant(variant, monkeypatch):
+    # the operator comes from one X of its index shift, and without a
+    # curve the operator's own phi serves, as it equals the phi of X
+    s = _grown_state(4, 2, 95)
+    sd = spectral_data(s)
+    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
+    U = divisor_poly(s, variant, curve=sd).poly
+    assert calls == {"transfer_matrix": 1}
+    monkeypatch.undo()
+    assert U == divisor_poly(s, variant).poly
+
+
+@pytest.mark.parametrize("s", [TodaState(N=1, M=1, V=(1,), I=((2,),)),
+                               TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))], ids=["g0", "g1"])
+def test_unknown_variant_is_refused_at_every_genus(s):
+    with pytest.raises(PdTodaError, match="bogus"):
+        divisor_poly(s, "bogus")
 
 
 @pytest.mark.parametrize("N, M", [(5, 2), (4, 3)])

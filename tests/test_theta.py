@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from pdtoda import divisor, lax, toda
+from pdtoda import divisor, lax, theta, toda
 from pdtoda.errors import NumericFailureError, PdTodaError, SingularCurveError
+from pdtoda.lax import spectral_data
 from pdtoda.rationals import Q
 from pdtoda.theta import (
     carlson_rf,
@@ -102,8 +103,13 @@ def test_im_tau_positive_across_random_states():
 
 def test_model_requires_2_1():
     rng = random.Random(93)
+    s = random_state(3, 1, rng)
     with pytest.raises(PdTodaError):
-        elliptic_model(random_state(3, 1, rng))
+        elliptic_model(s)
+    with pytest.raises(PdTodaError):
+        divisor_point(s)
+    with pytest.raises(PdTodaError):
+        divisor_point(random_state(2, 1, rng), spectral_data(s))
 
 
 def test_divisor_point_matches_closed_form():
@@ -236,21 +242,43 @@ def test_theta_check_with_abel_target_near_a_branch_point(seed, draw):
     assert rep["pass"]
 
 
-def test_theta_check_builds_the_curve_twice(monkeypatch):
+def _build_counter(monkeypatch):
+    """Count transfer_matrix and char_poly calls in lax, divisor and theta,
+    whichever of them import the name."""
+    calls = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("transfer_matrix", "char_poly"):
+        wrapped = spy(name, getattr(lax, name))
+        for module in (lax, divisor, theta):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
+    return calls
+
+
+def test_theta_check_builds_the_curve_once(monkeypatch):
     # phi is conserved by evolve and index_shift, so the model's curve
-    # serves both divisor points and the site shift: only elliptic_model
-    # and the divisor track build one
-    calls = []
-    original = lax.char_poly
-
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module in (lax, divisor):
-        monkeypatch.setattr(module, "char_poly", spy)
+    # serves both divisor points, the divisor track and the site shift;
+    # X is built once by the model, once per divisor point, once per track
+    # step (t = 0..10) and once for the shifted state
+    calls = _build_counter(monkeypatch)
     theta_check(TodaState(N=2, M=1, V=(1, 1), I=((2, 3),)))
-    assert len(calls) == 2
+    assert calls == {"char_poly": 1, "transfer_matrix": 1 + 2 + 11 + 1}
+
+
+def test_divisor_point_builds_x_once(monkeypatch):
+    # the divisor polynomial and the corner minors come from the same X
+    s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
+    curve = elliptic_model(s).curve
+    calls = _build_counter(monkeypatch)
+    point = divisor_point(s, curve)
+    assert calls == {"transfer_matrix": 1}
+    monkeypatch.undo()
+    assert point == divisor_point(s)
 
 
 def _corpus():

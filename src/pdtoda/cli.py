@@ -32,7 +32,6 @@ from .errors import (
 from .lax import spectral_data, spectral_report
 from .rationals import q_str
 from .toda import (
-    conserved_products,
     evolve,
     random_state,
     require_valid,
@@ -82,7 +81,7 @@ def cmd_simulate(args) -> int:
     cur = state
     for _ in range(args.steps + 1):
         entry = state_to_dict(cur)
-        entry["conserved"] = [q_str(p) for p in conserved_products(cur)]
+        entry["conserved"] = [q_str(p) for p in require_valid(cur)]
         steps.append(entry)
         if len(steps) <= args.steps:
             cur = evolve(cur)

@@ -18,7 +18,10 @@ class StateValidationError(PdTodaError):
 
 
 class DegenerateEvolutionError(PdTodaError):
-    """The cyclic solve for the next time step hit a zero pivot."""
+    """The cyclic solve for the next time step failed: a zero pivot, or
+    the periodic closure sigma_N = sigma_0 of ``evolve`` does not hold
+    exactly (the conserved products the step used disagree with the
+    entries)."""
 
 
 class NonGenericDataError(PdTodaError):

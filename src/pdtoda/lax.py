@@ -167,14 +167,6 @@ def spectral_data(state: TodaState) -> SpectralData:
     return char_poly(transfer_matrix(state), state.N, state.M)
 
 
-def degree_profile(sd: SpectralData):
-    """[(j, deg A_j, leading coefficient)] for j = 0..M+1."""
-    out = []
-    for j, a in enumerate(sd.A):
-        out.append((j, a.degree, a.lead if not a.is_zero() else None))
-    return out
-
-
 def check_degree_profile(sd: SpectralData):
     """Degree bounds deg A_j <= jN/M with equality exactly at the integer
     points j = r*M1, where the leading coefficient must be

@@ -29,20 +29,51 @@ started from 0, so the periodic solution is the fixed point
     sigma_0 = z / (1 - P).
 
 The new rows follow from rho_n = s_{n+2} / s_{n+1} = 1 + 1/sigma_{n+1} as
-Inew_n = V_n rho_n and Vnew_n = I_{n+1} / rho_n.  P is built from the
-products prod(V) and prod(I-row 0) that validation has just computed for
-its inequalities; they are conserved, so they stay small while the entries
-grow.  For valid states every c_n, z and 1 - P is positive, hence every
-sigma_n is positive and rho_n > 1: the update preserves positivity and
-never divides by zero.
+Inew_n = V_n rho_n and Vnew_n = I_{n+1} / rho_n.  For valid states every
+c_n, z and 1 - P is positive, hence every sigma_n is positive and
+rho_n > 1: the update preserves positivity and never divides by zero.
+
+Conserved products, once per trajectory.  P is built from the products
+(prod V, prod I-row 0, ..., prod I-row M-1) that validation uses for its
+inequalities.  They are conserved, so they stay small while the entries
+grow, and a trajectory computes them from the entries only once:
+
+* :func:`validate` caches them in the state's private ``_products`` slot
+  (not a constructor argument, and not part of ``==``, the hash, the repr
+  or the JSON) and reads the slot on later calls.  Positivity and the
+  inequalities are still checked on every call.
+* :func:`evolve` proves the products of the state it returns, and stores
+  them in that state's slot.  After the sigma loop it requires the
+  periodic closure sigma_N = sigma_0 exactly.  With P_true = prod(c_n),
+  computed from the entries, the loop gives
+
+      sigma_N - sigma_0 = P_true sigma_0 + z - sigma_0
+                        = z (P_true - P) / (1 - P),
+
+  and z > 0, so the closure holds exactly when the P taken from the
+  products equals P_true.  Given the closure, sigma_N + 1 = sigma_1 / c_0
+  and sigma_n + 1 = sigma_{n+1} / c_n for n < N, so
+
+      prod(rho) = prod_{n=1..N} (sigma_n + 1) / sigma_n = 1 / P_true
+
+  telescopes.  Hence prod(Vnew) = prod(I-row 0) P_true = prod(V) and
+  prod(Inew) = prod(V) / P_true = prod(I-row 0), while the other I-rows
+  shift down unchanged: the new products are (pV, pI_1, ..., pI_(M-1),
+  pI_0).  The closure certifies the ratio pV / pI_0 the step used; the
+  products themselves come from one computation from the entries, at the
+  first validation of the trajectory.
+* :func:`conserved_products` always computes from the entries and never
+  reads the slot, so checks that compare it along a trajectory stay
+  independent recomputations.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import (
+    DegenerateEvolutionError,
     NumericFailureError,
     PdTodaError,
     StateValidationError,
@@ -64,6 +95,9 @@ class TodaState:
     V: tuple
     I: tuple
     t: int = 0
+    #: the conserved products, once :func:`validate` computed them or
+    #: :func:`evolve` proved them (module docstring)
+    _products: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1 or self.M < 1:
@@ -99,7 +133,8 @@ def validate(state: TodaState) -> ValidationReport:
 
     The first and last rows are the two inequalities usually written out;
     the same bound must hold for intermediate rows as well, since each of
-    them becomes the oldest row after a few steps.
+    them becomes the oldest row after a few steps.  The products are read
+    from the state's slot when set, and computed and cached there otherwise.
     """
     problems = []
     for n, v in enumerate(state.V, start=1):
@@ -111,7 +146,10 @@ def validate(state: TodaState) -> ValidationReport:
                 problems.append(f"I_{n}^(t+{k}) = {q_str(x)} is not positive")
     products = ()
     if not problems:
-        products = conserved_products(state)
+        products = state._products
+        if products is None:
+            products = conserved_products(state)
+            object.__setattr__(state, "_products", products)
         pv = products[0]
         for k, pi in enumerate(products[1:]):
             if not pv < pi:
@@ -146,8 +184,12 @@ def evolve(state: TodaState) -> TodaState:
     Solves the periodic recurrence sigma_(n+1) = (sigma_n + 1) c_n,
     c_n = V_n / I_n, at its fixed point sigma_0 = z / (1 - P) (module
     docstring), with P = prod(V) / prod(I-row 0) from the validation pass.
+    Raises :class:`DegenerateEvolutionError` unless the periodic closure
+    sigma_N = sigma_0 holds; given it, the new state's products are the
+    old ones relabeled, and are stored in its slot.
     """
-    pv, pi = require_valid(state)[:2]
+    products = require_valid(state)
+    pv, pi = products[:2]
     N = state.N
     V = state.V
     I0 = state.I[0]
@@ -156,20 +198,27 @@ def evolve(state: TodaState) -> TodaState:
     z = ZERO
     for cn in c:
         z = (z + 1) * cn
-    sigma = z / (1 - pv / pi)
+    sigma0 = sigma = z / (1 - pv / pi)
     # rho_n = s_(n+2) / s_(n+1) = 1 + 1/sigma_(n+1) > 1
     rho = []
     for cn in c:
         sigma = (sigma + 1) * cn
         rho.append(1 + 1 / sigma)
+    if sigma != sigma0:
+        raise DegenerateEvolutionError(
+            "periodic closure sigma_N = sigma_0 fails: prod(V) / prod(I-row 0) "
+            "differs from the product of V_n / I_n"
+        )
 
-    return TodaState(
+    nxt = TodaState(
         N=N,
         M=state.M,
         V=tuple(I0[(n + 1) % N] / rho[n] for n in range(N)),
         I=state.I[1:] + (tuple(v * r for v, r in zip(V, rho)),),
         t=state.t + 1,
     )
+    object.__setattr__(nxt, "_products", (pv,) + products[2:] + (pi,))
+    return nxt
 
 
 def evolve_float_oracle(state: TodaState, tol: float = 1e-14, max_sweeps: int = 200000):

@@ -177,8 +177,11 @@ def test_divisor_track_is_pinned(nm, tmp_path, capsys):
 
 #: sha256 of ``verify --suite S --seed K``: these suites report no floats,
 #: so their reports compare byte for byte across platforms; recorded with
-#: the divisor operators built by a five-way if chain
+#: the divisor operators built by a five-way if chain, and core with the
+#: conserved products recomputed at every step
 PINNED_VERIFY = {
+    ("core", 0): "f90f0c2edf96532bcf0e1b8c2fd18c541eb50016d08ecddaf524bfb9b66efeec",
+    ("core", 42): "d262951e81168db023ab195599e8bd9c0733ec47729cb86af263eea78a589aad",
     ("divisor", 0): "3ff638989043cf27c091db543ab6cc8068775f3e9634330ae2424140ff60ae46",
     ("divisor", 42): "3e14c6078b981b6de81e0a94e7720380937f72498e78f07f63c6dae8e90229c9",
     ("lax", 0): "cda95b6e58b2a249743c26e879ec3a07ea55a04745c79212c77f9af0cde83730",
@@ -193,6 +196,41 @@ def test_exact_verify_suites_are_pinned(suite, seed, capsys):
     assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[suite, seed]
+
+
+def _product_passes(monkeypatch, argv):
+    """conserved_products calls made by one ``main(argv)``, counted in
+    every pdtoda module that binds the name."""
+    from pdtoda import toda
+
+    calls = []
+    original = toda.conserved_products
+
+    def spy(state):
+        calls.append(state)
+        return original(state)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pdtoda") and getattr(module, "conserved_products", None) is original:
+            monkeypatch.setattr(module, "conserved_products", spy)
+    assert main(argv) == 0
+    return len(calls)
+
+
+def test_simulate_takes_one_product_pass(monkeypatch, tmp_path, capsys):
+    # the read computes the products; the conserved column and every step
+    # take them from the state's cache or from evolve's closure certificate
+    path = tmp_path / "state.json"
+    assert main(["random-state", "--nm", "3,2", "--seed", "1", "--output", str(path)]) == 0
+    assert _product_passes(monkeypatch, ["simulate", "--steps", "5", "--input", str(path)]) == 1
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    assert len({tuple(sorted(step["conserved"])) for step in steps}) == 1
+
+
+def test_divisor_takes_one_product_pass(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    assert main(["random-state", "--nm", "4,2", "--seed", "1", "--output", str(path)]) == 0
+    assert _product_passes(monkeypatch, ["divisor", "--steps", "10", "--input", str(path)]) == 1
 
 
 @pytest.mark.parametrize("entry", ["1/0", "0.5", "1e3", "1_000", " 3/4 "])

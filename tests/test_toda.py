@@ -182,6 +182,64 @@ def test_product_conservation_multiset():
         assert conserved_products(cur)[0] == base[0] or conserved_products(cur)[0] in base
 
 
+@given(
+    st.integers(1, 7),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 10 ** 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_evolve_certifies_the_products_it_carries(N, M, steps, seed):
+    # every product after the first validation comes from a slot: cached
+    # by validate or proved by evolve's closure; both match the entries
+    cur = random_state(N, M, random.Random(seed))
+    base = sorted(conserved_products(cur))
+    for _ in range(steps):
+        cur = evolve(cur)
+        assert cur._products is not None
+        assert validate(cur).products == conserved_products(cur)
+        assert sorted(conserved_products(cur)) == base
+
+
+def test_product_slot_is_private():
+    s = random_state(4, 2, random.Random(28))
+    nxt = evolve(s)
+    fresh = TodaState(N=nxt.N, M=nxt.M, V=nxt.V, I=nxt.I, t=nxt.t)
+    assert nxt._products is not None and fresh._products is None
+    assert nxt == fresh and hash(nxt) == hash(fresh)
+    assert repr(nxt) == repr(fresh) and "_products" not in repr(nxt)
+    assert state_to_json(nxt) == state_to_json(fresh)
+    with pytest.raises(TypeError):
+        TodaState(N=1, M=1, V=(1,), I=((2,),), _products=(1, 2))
+
+
+def _tamper(state, products):
+    object.__setattr__(state, "_products", products)
+    return state
+
+
+def test_evolve_rejects_a_wrong_product_ratio():
+    s = evolve(random_state(4, 2, random.Random(29)))
+    pv, pi0, pi1 = s._products
+    # the inequalities still hold, so only the closure can catch it
+    _tamper(s, (pv / 2, pi0, pi1))
+    assert validate(s).ok
+    with pytest.raises(DegenerateEvolutionError, match="closure"):
+        evolve(s)
+
+
+def test_a_tampered_slot_leaves_the_product_checks_independent(capsys):
+    from pdtoda.cli import main
+
+    s = random_state(3, 2, random.Random(30))
+    true = conserved_products(s)
+    _tamper(s, (true[0] / 3,) + true[1:])
+    assert validate(s).products != true
+    assert conserved_products(s) == true
+    assert main(["verify", "--suite", "core", "--inject-fault", "product-conservation"]) == 1
+    capsys.readouterr()
+
+
 def test_conserved_products_examples():
     assert conserved_products(TodaState(N=1, M=1, V=(1,), I=((2,),))) == (1, 2)
     s = TodaState(N=2, M=2, V=(1, 1), I=((2, 3), (3, 2)))

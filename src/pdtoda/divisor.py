@@ -31,6 +31,9 @@ D_11 D_NN = D_1N D_N1.
 
 "Up to a scalar" means both sides are compared after stripping x-powers
 and making them monic: the statements are about root multisets.
+
+A ``*_check`` returns the sides of its claim, or the residual of a numeric
+screen, and never decides it; the caller compares them.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ def zeros_factorization_check(state: TodaState) -> dict:
 
     Also checks the determinant identity
     D_11 D_NN - D_1N D_N1 = phi_tilde * (inner double minor), which forces
-    the corner minors to share their zeros on the curve.  Returns a dict of
-    named booleans; raises on non-generic data.
+    the corner minors to share their zeros on the curve.  Returns
+    {label: (lhs, rhs)}; raises on non-generic data.
     """
     require_valid(state)
     ops = operators(state, OPERATORS)
@@ -206,7 +209,7 @@ def zeros_factorization_check(state: TodaState) -> dict:
     results = {}
     for (i, j), (va, vb) in pairs.items():
         res = known[i, j] if (i, j) in known else minor_resultant(phi, corner_minor(X, i, j))
-        results[f"D{i}{j}"] = _normalized(res) == _normalized(ups[va] * ups[vb])
+        results[f"D{i}{j}"] = (_normalized(res), _normalized(ups[va] * ups[vb]))
 
     cm = char_matrix(X)
     d11 = minor_signed(cm, 1, 1)
@@ -217,7 +220,7 @@ def zeros_factorization_check(state: TodaState) -> dict:
         inner = BiLaurent.one()
     else:
         inner = det(cm.submatrix(1, 1).submatrix(N - 1, N - 1))
-    results["double_minor_identity"] = d11 * dnn - d1n * dn1 == sd.phi * inner
+    results["double_minor_identity"] = (d11 * dnn - d1n * dn1, sd.phi * inner)
     return results
 
 
@@ -252,14 +255,16 @@ def fiber_point(phi: BiLaurent, x0: complex, a: BiLaurent, b: BiLaurent) -> comp
     return min(fiber_roots(phi, x0), key=lambda y: rel_eval(a, x0, y) + rel_eval(b, x0, y))
 
 
-def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
+def common_zero_support_check(state: TodaState) -> float:
     """At each common zero of {D_N1, D_NN} on the curve, every D_Nk
-    (k = 1..N) vanishes as well; numeric screen at the sampled roots."""
+    (k = 1..N) vanishes as well; numeric screen at the sampled roots.
+    Returns the largest ``rel_eval`` residual of a D_Nk there (NaN if any
+    is NaN), 0.0 at g = 0."""
     require_valid(state)
     X = transfer_matrix(state)
     sd = char_poly(X, state.N, state.M)
     if sd.g == 0:
-        return True
+        return 0.0
     N = sd.N
     phi = sd.phi_cleared
     r_n1 = minor_resultant(phi, corner_minor(X, N, 1))
@@ -268,12 +273,8 @@ def common_zero_support_check(state: TodaState, tol: float = 1e-8) -> bool:
     if common.degree < 1:
         raise NonGenericDataError("no common zeros found")
     minors = [corner_minor(X, N, k) for k in range(1, N + 1)]
-    for x0 in roots_numeric(common):
-        best = fiber_point(phi, x0, minors[0], minors[N - 1])
-        for m in minors:
-            if rel_eval(m, x0, best) > tol:
-                return False
-    return True
+    points = [(x0, fiber_point(phi, x0, minors[0], minors[N - 1])) for x0 in roots_numeric(common)]
+    return float(np.max([rel_eval(m, x0, y0) for x0, y0 in points for m in minors]))
 
 
 def track_divisor(state: TodaState, steps: int, curve: SpectralData | None = None) -> list:

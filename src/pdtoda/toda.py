@@ -278,10 +278,14 @@ def state_to_dict(state: TodaState) -> dict:
 
 def state_from_dict(data: dict) -> TodaState:
     try:
+        N, M, t = data["N"], data["M"], data.get("t", 0)
+        for key, value in (("N", N), ("M", M), ("t", t)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{key} must be a JSON integer, got {value!r}")
         return TodaState(
-            N=int(data["N"]),
-            M=int(data["M"]),
-            t=int(data.get("t", 0)),
+            N=N,
+            M=M,
+            t=t,
             V=tuple(as_q(v) for v in data["V"]),
             I=tuple(tuple(as_q(x) for x in row) for row in data["I"]),
         )

@@ -23,13 +23,13 @@ from pdtoda.arrows import (
     u_row,
     u_row_matrix_oracle,
 )
+from pdtoda.bilaurent import newton_interior
 from pdtoda.divisor import divisor_poly, zeros_factorization_check
 from pdtoda.errors import NonGenericDataError, NumericFailureError, SingularCurveError
 from pdtoda.lax import (
     check_degree_profile,
     det_x_factorization_check,
     genus,
-    newton_genus_check,
     spectral_data,
     time_step_det_check,
 )
@@ -77,16 +77,16 @@ def test_criterion_2_conservation_and_det_factorization():
         for _ in range(STATES_PER_SHAPE):
             s = random_state(N, M, rng)
             base = sorted(conserved_products(s))
-            ok, _, _ = det_x_factorization_check(s)
-            assert ok, (N, M)
+            lhs, rhs = det_x_factorization_check(s)
+            assert lhs == rhs, (N, M)
             cur = s
             for _ in range(EVOLUTION_STEPS):
                 cur = evolve(cur)
                 prods = conserved_products(cur)
                 assert prods[0] == conserved_products(s)[0]
                 assert sorted(prods) == base, (N, M)
-            ok, _, _ = det_x_factorization_check(cur)
-            assert ok, (N, M, "after evolution")
+            lhs, rhs = det_x_factorization_check(cur)
+            assert lhs == rhs, (N, M, "after evolution")
     _report("criterion 2: product conservation + det X factorization, exact", True,
             "V-product invariant, I-row multiset invariant, factorization at t=0 and t=10")
 
@@ -105,9 +105,9 @@ def test_criterion_4_genus_newton_polygon():
     rng = random.Random(104)
     counts = {}
     for (N, M) in CORPUS:
-        ok, interior = newton_genus_check(spectral_data(random_state(N, M, rng)))
-        counts[(N, M)] = interior
-        assert ok, (N, M, interior, genus(N, M))
+        sd = spectral_data(random_state(N, M, rng))
+        counts[(N, M)] = interior = newton_interior(sd.phi)
+        assert interior == sd.g, (N, M, interior, genus(N, M))
     assert counts[(4, 2)] == 4
     _report("criterion 4: genus formula = Newton-polygon interior count",
             True, f"counts {sorted(counts.items())}")
@@ -121,8 +121,8 @@ def test_criterion_5_time_step_determinant():
         while done < 50:
             N = shape_list[done % len(shape_list)][0]
             s = random_state(N, M, rng)
-            ok, d, e = time_step_det_check(s)
-            assert ok, (N, M, d, e)
+            lhs, rhs = time_step_det_check(s)
+            assert lhs == rhs, (N, M, lhs, rhs)
             done += 1
     _report("criterion 5: det H = (-1)^(M+1) I_1 x symbolically, M in {1,2,3} x 50 states", True)
 
@@ -134,13 +134,17 @@ def test_criterion_6_appendix_suite():
     while count < 100:
         N, M = shapes[count % len(shapes)]
         s = random_state(N, M, rng)
-        assert alternating_row_sum_check(s)
-        assert shifted_alternating_row_sum_check(s)
-        assert second_row_check(s)
+        total, zero = alternating_row_sum_check(s)
+        assert total == zero, (N, M, total)
+        total, expected = shifted_alternating_row_sum_check(s)
+        assert total == expected, (N, M, total, expected)
+        read, closed = second_row_check(s)
+        assert read == closed, (N, M, read, closed)
         for k in range(1, M + 1):
             assert u_row(s, k) == u_row_matrix_oracle(s, k)
         tail = tuple(rng.choice((SW, SE)) for _ in range(rng.randint(0, M - 1)))
-        assert prefix_swap_check(s, tail)
+        lhs, rhs = prefix_swap_check(s, tail)
+        assert lhs == rhs, (N, M, tail)
         count += 1
     # triangle row values on a fresh state
     s = random_state(5, 3, rng)
@@ -157,7 +161,8 @@ def test_criterion_6_appendix_suite():
     # prefix-swap rule, exhaustive for short sequences
     for k in range(1, 5):
         for tail in iproduct((SW, SE), repeat=k - 1):
-            assert prefix_swap_check(big, tail)
+            lhs, rhs = prefix_swap_check(big, tail)
+            assert lhs == rhs, tail
     _report("criterion 6: arrow calculus (row sums, second row, triangle rows, "
             "arrow-sum exhaustive to k=6)", True, "100 states + exhaustive enumerations")
 
@@ -178,7 +183,8 @@ def test_criterion_7_divisor_structure():
                 results = zeros_factorization_check(s)
             except NonGenericDataError:
                 continue
-            assert all(results.values()), (N, M, results)
+            for label, (lhs, rhs) in results.items():
+                assert lhs == rhs, (N, M, label)
             dp = divisor_poly(s, "X")
             assert dp.degree == g
             done += 1

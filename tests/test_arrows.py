@@ -90,7 +90,8 @@ def test_prefix_swap_exhaustive_small():
     s = random_state(7, 6, rng)
     for k in range(1, 5):
         for tail in iproduct((SW, SE), repeat=k - 1):
-            assert prefix_swap_check(s, tail)
+            lhs, rhs = prefix_swap_check(s, tail)
+            assert lhs == rhs, tail
 
 
 def test_prefix_swap_random_longer():
@@ -99,7 +100,8 @@ def test_prefix_swap_random_longer():
     for _ in range(30):
         k = rng.randint(1, 6)
         tail = tuple(rng.choice((SW, SE)) for _ in range(k - 1))
-        assert prefix_swap_check(s, tail)
+        lhs, rhs = prefix_swap_check(s, tail)
+        assert lhs == rhs, tail
 
 
 @pytest.mark.parametrize("N,M", [(2, 1), (4, 2), (5, 3), (4, 3)])
@@ -107,23 +109,28 @@ def test_alternating_row_sums(N, M):
     rng = random.Random(60 + N + 10 * M)
     for _ in range(5):
         s = random_state(N, M, rng)
-        assert alternating_row_sum_check(s)
-        assert shifted_alternating_row_sum_check(s)
+        total, zero = alternating_row_sum_check(s)
+        assert total == zero, (N, M, total)
+        total, expected = shifted_alternating_row_sum_check(s)
+        assert total == expected, (N, M, total, expected)
 
 
 def test_alternating_sum_two_term_case():
     # M = 1 collapses to I_1 - I_1 = 0 and -I_2 I_1 = -I_1 I_2
     rng = random.Random(61)
     s = random_state(3, 1, rng)
-    assert alternating_row_sum_check(s)
-    assert shifted_alternating_row_sum_check(s)
+    total, zero = alternating_row_sum_check(s)
+    assert total == zero, total
+    total, expected = shifted_alternating_row_sum_check(s)
+    assert total == expected, (total, expected)
 
 
 @pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])
 def test_second_row_band_coefficients(N, M):
     rng = random.Random(62 + N)
     for _ in range(3):
-        assert second_row_check(random_state(N, M, rng))
+        read, closed = second_row_check(random_state(N, M, rng))
+        assert read == closed, (N, M, read, closed)
 
 
 @pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])

@@ -242,6 +242,22 @@ def test_exit_code_on_malformed_rational(tmp_path, entry):
     assert "malformed rational" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("key,value", [("N", 2.9), ("M", True), ("t", 1.5), ("N", "2")])
+def test_exit_code_on_malformed_shape(tmp_path, key, value):
+    # N, M and t are JSON integers; a float, a bool or a string is not
+    # truncated or coerced into one
+    data = {"N": 2, "M": 1, "t": 0, "V": ["1/2", "1/3"], "I": [["3", "4"]]}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(data))
+    assert run_cli("spectrum", "--input", str(good)).returncode == 0
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps({**data, key: value}))
+    r = run_cli("spectrum", "--input", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: malformed state JSON: ") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_exit_code_on_missing_file():
     r = run_cli("spectrum", "--input", "/nonexistent/state.json")
     assert r.returncode == 2

@@ -21,6 +21,7 @@ from pdtoda.divisor import (
 from pdtoda.errors import PdTodaError
 from pdtoda.lax import band_params_of_matrix, char_poly, spectral_data, transfer_matrix
 from pdtoda.lmatrix import antitranspose
+from pdtoda.theta import COMMON_ZERO_TOL
 from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json
 from pdtoda.unipoly import UniPoly, gcd_monic, horner, roots_numeric
 
@@ -151,8 +152,8 @@ def test_divisor_poly_3_1_degree_two():
 @pytest.mark.parametrize("N,M", [(2, 1), (3, 1), (3, 2), (4, 2)])
 def test_zeros_factorizations(N, M):
     rng = random.Random(80 + N * 10 + M)
-    res = zeros_factorization_check(random_state(N, M, rng))
-    assert all(res.values()), res
+    for label, (lhs, rhs) in zeros_factorization_check(random_state(N, M, rng)).items():
+        assert lhs == rhs, (label, lhs, rhs)
 
 
 def _call_counter(monkeypatch, targets):
@@ -177,14 +178,15 @@ def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
     # need a transfer matrix
     calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (divisor, "transfer_matrix")])
     res = zeros_factorization_check(random_state(N, M, random.Random(86)))
-    assert all(res.values()), res
+    for label, (lhs, rhs) in res.items():
+        assert lhs == rhs, (label, lhs, rhs)
     assert calls == {"char_poly": 1, "transfer_matrix": 3}
 
 
 def test_double_minor_identity_is_part_of_report():
     rng = random.Random(81)
-    res = zeros_factorization_check(random_state(3, 2, rng))
-    assert res["double_minor_identity"]
+    lhs, rhs = zeros_factorization_check(random_state(3, 2, rng))["double_minor_identity"]
+    assert lhs == rhs
 
 
 def test_factorizations_beyond_banded_regime():
@@ -192,8 +194,8 @@ def test_factorizations_beyond_banded_regime():
     # template is unavailable and only the product/determinant machinery runs
     rng = random.Random(85)
     for (N, M) in [(2, 2), (2, 3)]:
-        res = zeros_factorization_check(random_state(N, M, rng))
-        assert all(res.values()), (N, M, res)
+        for label, (lhs, rhs) in zeros_factorization_check(random_state(N, M, rng)).items():
+            assert lhs == rhs, (N, M, label, lhs, rhs)
 
 
 def test_track_divisor_moves_while_spectrum_frozen():
@@ -217,13 +219,14 @@ def test_track_divisor_constant_at_genus_zero():
 def test_common_zero_support():
     rng = random.Random(83)
     for (N, M) in [(2, 1), (3, 1), (3, 2)]:
-        assert common_zero_support_check(random_state(N, M, rng))
+        residual = common_zero_support_check(random_state(N, M, rng))
+        assert residual <= COMMON_ZERO_TOL, (N, M, residual)
 
 
 def test_common_zero_support_builds_x_once(monkeypatch):
     # phi comes from the same X whose corner minors are screened
     calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
-    assert common_zero_support_check(random_state(3, 2, random.Random(83)))
+    assert common_zero_support_check(random_state(3, 2, random.Random(83))) <= COMMON_ZERO_TOL
     assert calls == {"transfer_matrix": 1}
 
 

@@ -112,9 +112,6 @@ class BiLaurent:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_y_free(self) -> bool:
-        return all(j == 0 for _, j in self.terms)
-
     def x_degree(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
 
@@ -200,11 +197,6 @@ class BiLaurent:
         for i, c in out.items():
             coeffs[i] = c
         return UniPoly(coeffs)
-
-    def as_unipoly(self) -> UniPoly:
-        if not self.is_y_free():
-            raise PdTodaError("polynomial involves y")
-        return self.y_coeff(0)
 
     def y_coefficients(self):
         """Map j -> UniPoly over the full y-support."""

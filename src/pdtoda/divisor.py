@@ -56,6 +56,8 @@ OPERATORS = {"X": (0, False), "Xstar": (0, True), "shift": (-1, False),
 #: the four operators whose divisors are the paper's; "shiftup" (sigma X)
 #: additionally appears in two factorization rows
 VARIANTS = ("X", "Xstar", "shift", "shiftstar")
+#: rel_eval bound at which smoothness_probe confirms a singular point
+SMOOTHNESS_TOL = 1e-8
 
 
 def operators(state: TodaState, variants) -> dict:
@@ -317,14 +319,14 @@ def divisor_report(track: list, g: int) -> dict:
     return {"g": g, "steps": steps}
 
 
-def smoothness_probe(sd: SpectralData, tol: float = 1e-8) -> dict:
+def smoothness_probe(sd: SpectralData) -> dict:
     """Screen for affine singular points, where phi = dphi/dx = dphi/dy = 0
     simultaneously.  Advisory only.
 
     Candidate x-values are the common roots of the two eliminations
     res_y(phi, phi_y) and res_y(phi, phi_x); their gcd is computed exactly,
     so a trivial gcd is an exact certificate that no affine singular point
-    exists.  A nontrivial gcd is confirmed numerically at tolerance ``tol``
+    exists.  A nontrivial gcd is confirmed numerically at ``SMOOTHNESS_TOL``
     with y taken from the phi_y fiber (a simple root there, immune to the
     sqrt-of-epsilon noise that double roots inject).
     """
@@ -349,6 +351,6 @@ def smoothness_probe(sd: SpectralData, tol: float = 1e-8) -> dict:
     for x0 in roots_numeric(common):
         for y0 in fiber_roots(phi_y, x0):
             vals = (rel_eval(phi, x0, y0), rel_eval(phi_y, x0, y0), rel_eval(phi_x, x0, y0))
-            if all(v <= tol for v in vals):
+            if all(v <= SMOOTHNESS_TOL for v in vals):
                 witnesses.append(((x0.real, x0.imag), (y0.real, y0.imag)))
     return {"likely_smooth": not witnesses, "witnesses": witnesses}

@@ -320,7 +320,7 @@ class BlochBasis:
     vectors: tuple
 
 
-def bloch_basis(state: TodaState, upto: int | None = None, params: BandParams | None = None) -> BlochBasis:
+def bloch_basis(state: TodaState, upto: int, params: BandParams | None = None) -> BlochBasis:
     """Extend the M+1 identity windows with the three-term-band recurrence
 
         v_(n+M) = x v_n - beta_(n-1) v_(n-1) - sum_k alpha^(k)_(n+k-1) v_(n+k-1),
@@ -329,8 +329,6 @@ def bloch_basis(state: TodaState, upto: int | None = None, params: BandParams | 
     N, M = state.N, state.M
     if params is None:
         params = band_params(state)
-    if upto is None:
-        upto = M + 2
     if upto < M + 1:
         raise PdTodaError("window must cover the first M+1 components")
     x = UniPoly.x()
@@ -346,25 +344,18 @@ def bloch_basis(state: TodaState, upto: int | None = None, params: BandParams | 
     return BlochBasis(N=N, M=M, vectors=tuple(vectors))
 
 
-def time_step_matrix(state: TodaState, basis: BlochBasis | None = None) -> LaurentMatrix:
+def time_step_matrix(state: TodaState) -> LaurentMatrix:
     """The (M+1)x(M+1) matrix propagating Bloch coefficients one time step:
     diagonal I_1..I_M with a unit superdiagonal, and the last row built
-    from the (M+2)-nd components of the basis vectors."""
+    from the (M+2)-nd components of the Bloch basis vectors."""
     M = state.M
-    if basis is None:
-        basis = bloch_basis(state, upto=M + 2)
-    if len(basis.vectors[0]) < M + 2:
-        raise PdTodaError("basis must extend to component M+2")
-
-    def poly_entry(p: UniPoly) -> BiLaurent:
-        return BiLaurent({(i, 0): c for i, c in enumerate(p.coeffs) if c != 0})
-
+    basis = bloch_basis(state, upto=M + 2)
     cells = [[BiLaurent.zero() for _ in range(M + 1)] for _ in range(M + 1)]
     for i in range(1, M + 1):
         cells[i - 1][i - 1] = BiLaurent.const(state.i(i))
         cells[i - 1][i] = BiLaurent.one()
     for j in range(1, M + 2):
-        cells[M][j - 1] = poly_entry(basis.vectors[j - 1][M + 1])
+        cells[M][j - 1] = BiLaurent.from_unipoly(basis.vectors[j - 1][M + 1])
     cells[M][M] = cells[M][M] + BiLaurent.const(state.i(M + 1))
     return LaurentMatrix(cells)
 

@@ -1,16 +1,14 @@
 """Matrices over bivariate Laurent polynomials, exact determinants, signed
 minors and Sylvester resultants.
 
-Determinants use two strategies:
-
-* fraction-free Bareiss elimination over x-polynomials when every entry is
-  free of y (divisions are exact by the Bareiss identity), and
-* dynamic-programming expansion by minors over column subsets otherwise,
-  which avoids Laurent division entirely and costs O(2^n n) multiplications.
-  Its partial minors are raw term dicts, accumulated in place by the
-  package's one product kernel ``bilaurent.mul_add``; the permutation sign
-  is folded in by taking each entry in the sign its column position asks
-  for, and the result is wrapped in a BiLaurent once, at the end.
+Determinants are taken by one strategy: dynamic-programming expansion by
+minors over column subsets, which avoids Laurent division entirely and
+costs O(2^n n) multiplications.  Its partial minors are raw term dicts,
+accumulated in place by the package's one product kernel
+``bilaurent.mul_add``; the permutation sign is folded in by taking each
+entry in the sign its column position asks for, and the result is wrapped
+in a BiLaurent once, at the end.  Naive Laplace expansion is kept as the
+test oracle.
 
 Resultants are Sylvester-matrix determinants.  The convention is
 
@@ -25,20 +23,20 @@ Bareiss elimination with exact integer division, and the samples are
 interpolated by integer forward differences.  The degree bound b is the
 assignment bound, the largest sum of entry degrees over the permutations
 that avoid zero entries, which no term of Leibniz's expansion exceeds.
-Every step is exact, so no moduli or coefficient bounds are involved.  A
-direct expansion over x-polynomials is kept as the test oracle.
+Every step is exact, so no moduli or coefficient bounds are involved.  The
+Laplace expansion of the Sylvester matrix over x-polynomials is kept as
+the test oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from typing import Callable, Sequence
 
 from .bilaurent import BiLaurent, mul_add
 from .errors import DimensionError, PdTodaError
 from .rationals import ONE, Q
-from .unipoly import UniPoly
+from .unipoly import UniPoly, cleared, horner
 
 
 class LaurentMatrix:
@@ -111,9 +109,6 @@ class LaurentMatrix:
             ]
         )
 
-    def is_y_free(self) -> bool:
-        return all(e.is_y_free() for row in self.entries for e in row)
-
 
 def antitranspose(m: LaurentMatrix) -> LaurentMatrix:
     """Reflection about the antidiagonal: J m^T J with J the reversal matrix."""
@@ -132,8 +127,6 @@ def det(m: LaurentMatrix) -> BiLaurent:
     """
     if m.rows != m.cols:
         raise DimensionError(f"determinant of {m.rows}x{m.cols} matrix")
-    if m.is_y_free():
-        return BiLaurent.from_unipoly(_det_bareiss([[e.as_unipoly() for e in row] for row in m.entries]))
     return _det_subsets(m.entries)
 
 
@@ -195,32 +188,6 @@ def _det_subsets(rows) -> BiLaurent:
         if not current:
             return BiLaurent.zero()
     return BiLaurent(current.get((1 << n) - 1, {}), _clean=False)
-
-
-def _det_bareiss(a) -> UniPoly:
-    """Fraction-free Bareiss determinant over UniPoly (exact divisions)."""
-    n = len(a)
-    a = [row[:] for row in a]
-    sign = 1
-    prev = UniPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            # pivot search
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = UniPoly()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
 
 
 def minor_signed(m: LaurentMatrix, i: int, j: int) -> BiLaurent:
@@ -288,15 +255,15 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
         return qc[0] ** dp
     if dp == 0:
         return pc[0] ** dq
-    pi, dp_den = _cleared(pc)
-    qi, dq_den = _cleared(qc)
+    pi, dp_den = cleared(pc)
+    qi, dq_den = cleared(qc)
     degrees = [[len(c) - 1 if c else None for c in f] for f in (pi, qi)]
     bound = _degree_bound(tuple(map(tuple, _sylvester(*degrees, None))))
     if bound is None:
         return UniPoly()
     samples = []
     for s in range(bound + 1):
-        rows = _sylvester([_eval_int(c, s) for c in pi], [_eval_int(c, s) for c in qi], 0)
+        rows = _sylvester([horner(c, s) for c in pi], [horner(c, s) for c in qi], 0)
         samples.append(_int_det(rows))
     den = dp_den ** dq * dq_den ** dp
     return UniPoly(Q(c, den) for c in _int_interpolate(samples))
@@ -324,22 +291,6 @@ def _degree_bound(degrees: tuple):
                     nxt[mask | bit] = total + d
         best = nxt
     return best.get((1 << len(degrees)) - 1)
-
-
-def _cleared(coeffs):
-    """Integer coefficient lists (lowest x-degree first) of a list of
-    UniPoly with rational coefficients, and the common denominator D that
-    was multiplied through."""
-    # a list, not a generator: see unipoly._primitive_int
-    den = lcm(*[int(a.denominator) for c in coeffs for a in c.coeffs])
-    return [[int(a.numerator) * (den // int(a.denominator)) for a in c.coeffs] for c in coeffs], den
-
-
-def _eval_int(coeffs, x: int) -> int:
-    acc = 0
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
 
 
 def _int_det(a) -> int:
@@ -398,7 +349,8 @@ def _int_interpolate(values) -> list:
 
 
 def resultant_y_direct(p: BiLaurent, q: BiLaurent) -> UniPoly:
-    """Sylvester determinant expanded directly over UniPoly (oracle path)."""
+    """Sylvester determinant by Laplace expansion over x-polynomials
+    (oracle path)."""
     pc = _y_poly(p)
     qc = _y_poly(q)
     if len(pc) == 1 and len(qc) == 1:
@@ -407,5 +359,7 @@ def resultant_y_direct(p: BiLaurent, q: BiLaurent) -> UniPoly:
         return qc[0] ** (len(pc) - 1)
     if len(pc) == 1:
         return pc[0] ** (len(qc) - 1)
-    return _det_bareiss(_sylvester(pc, qc, UniPoly()))
+    rows = _sylvester([BiLaurent.from_unipoly(c) for c in pc],
+                      [BiLaurent.from_unipoly(c) for c in qc], BiLaurent.zero())
+    return det_cofactor(LaurentMatrix(rows)).y_coeff(0)
 

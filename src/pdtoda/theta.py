@@ -45,7 +45,9 @@ The validated objects:
   d log(q + w) = q' dx / w = (2x + q1) dx / w, and on the cut q + w = 2y
   with |y|^2 = c, so q + w winds once around 0 along a;
 * the Jacobi theta series theta(z) = sum exp(i pi tau n^2 + 2 pi i n z),
-  whose zero locus is the half-period (1 + tau)/2 mod the lattice.
+  whose zero locus is the half-period (1 + tau)/2 mod the lattice; one
+  loop sums theta and its termwise derivative together, to the radius
+  where the Gaussian tail falls below ``THETA_TAIL`` of the leading term.
 
 For a degree-1 positive divisor D the function
 F(p) = theta(A(p) - A(D) - K) with K = (1 + tau)/2 vanishes exactly at D;
@@ -83,6 +85,12 @@ PRINCIPAL_DIVISOR_TOL = 1e-8
 COMMON_ZERO_TOL = 1e-8
 #: w(x + i0) / sqrt|f(x)| when k branch points lie above x
 _W_PHASE = (-1, -1j, 1, 1j, -1)
+#: theta series tail, relative to the leading term, left out of the sums
+THETA_TAIL = 1e-16
+#: the largest theta summation radius; a larger one means Im tau is too small
+THETA_MAX_CUTOFF = 20000
+#: |theta| below which dlog theta is refused: the point is on the zero locus
+THETA_FLOOR = 1e-8
 
 
 def _gl(n: int):
@@ -132,36 +140,23 @@ def interval_integral(branch, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theta_cutoff(z: complex, tau: complex, tail: float = 1e-16) -> int:
-    """Summation radius making the Gaussian tail < tail * leading term."""
+def theta_cutoff(z: complex, tau: complex) -> int:
+    """Summation radius making the Gaussian tail < THETA_TAIL * leading term."""
     im_t = tau.imag
     if im_t <= 0:
         raise PdTodaError("theta requires Im tau > 0")
     b = abs(z.imag)
-    # need exp(-pi im_t n^2 + 2 pi b n) < tail for all |n| > R
-    disc = b * b + im_t * (-math.log(tail)) / math.pi
+    # need exp(-pi im_t n^2 + 2 pi b n) < THETA_TAIL for all |n| > R
+    disc = b * b + im_t * (-math.log(THETA_TAIL)) / math.pi
     return int(math.ceil((b + math.sqrt(disc)) / im_t)) + 2
 
 
-def riemann_theta(z: complex, tau: complex, cutoff: int | None = None) -> complex:
-    """theta(z, tau) = sum_n exp(i pi tau n^2 + 2 pi i n z), genus 1."""
-    R = theta_cutoff(z, tau) if cutoff is None else cutoff
-    if R > 20000:
-        raise NumericFailureError("theta cutoff exceeds sane bounds; Im tau too small")
-    if cutoff is not None and cutoff < theta_cutoff(z, tau, tail=1e-14):
-        raise NumericFailureError("requested theta cutoff below the tail bound")
-    total = 1 + 0j
-    for n in range(1, R + 1):
-        phase = cmath.exp(1j * math.pi * tau * n * n)
-        total += phase * (cmath.exp(2j * math.pi * n * z) + cmath.exp(-2j * math.pi * n * z))
-    return total
-
-
-def theta_dlog(z: complex, tau: complex, floor: float = 1e-8) -> complex:
-    """d/dz log theta via the termwise-differentiated series."""
+def _theta_sums(z: complex, tau: complex) -> tuple:
+    """(theta(z), theta'(z)): the series and its termwise derivative,
+    summed together to |n| <= theta_cutoff(z, tau)."""
     R = theta_cutoff(z, tau)
-    if R > 20000:
-        raise NumericFailureError("theta cutoff exceeds sane bounds")
+    if R > THETA_MAX_CUTOFF:
+        raise NumericFailureError("theta cutoff exceeds sane bounds; Im tau too small")
     val = 1 + 0j
     der = 0j
     for n in range(1, R + 1):
@@ -170,7 +165,18 @@ def theta_dlog(z: complex, tau: complex, floor: float = 1e-8) -> complex:
         em = cmath.exp(-2j * math.pi * n * z)
         val += phase * (ep + em)
         der += phase * (2j * math.pi * n) * (ep - em)
-    if abs(val) < floor:
+    return val, der
+
+
+def riemann_theta(z: complex, tau: complex) -> complex:
+    """theta(z, tau) = sum_n exp(i pi tau n^2 + 2 pi i n z), genus 1."""
+    return _theta_sums(z, tau)[0]
+
+
+def theta_dlog(z: complex, tau: complex) -> complex:
+    """d/dz log theta via the termwise-differentiated series."""
+    val, der = _theta_sums(z, tau)
+    if abs(val) < THETA_FLOOR:
         raise NumericFailureError("theta vanishes at the evaluation point")
     return der / val
 
@@ -364,7 +370,8 @@ class ThetaContext:
     cprime_res: complex     # Res_Q(x omega)
     a_integral: complex     # oint_a x omega
     abel_P: complex
-    abel_A1: complex
+    abel_A1: complex        # A((0, prod I))
+    abel_AV: complex        # A((0, prod V))
     abel_D0: complex
 
     def z_args(self, n: int, t: int):
@@ -441,6 +448,7 @@ def theta_context(state: TodaState) -> ThetaContext:
         a_integral=a_integral,
         abel_P=abel_P,
         abel_A1=abel_A1,
+        abel_AV=abel_AV,
         abel_D0=abel_D0,
     )
 
@@ -468,10 +476,8 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     model = ctx.model
 
     # principal divisor checks: N (A(P) - A(Q)) and the divisor of x
-    w_V = model.w_from_y(0.0, complex(model.prods[0]))
-    abel_V = model.abel_finite(0.0, w_V)
     torsion = model.lattice_distance(2 * ctx.k_vec)
-    x_div = model.lattice_distance(ctx.abel_A1 + abel_V)
+    x_div = model.lattice_distance(ctx.abel_A1 + ctx.abel_AV)
 
     track = track_divisor(state, steps, curve=model.curve)
     entries = []

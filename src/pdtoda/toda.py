@@ -221,25 +221,31 @@ def evolve(state: TodaState) -> TodaState:
     return nxt
 
 
-def evolve_float_oracle(state: TodaState, tol: float = 1e-14, max_sweeps: int = 200000):
+#: sweep-to-sweep relative change at which :func:`evolve_float_oracle` stops
+ORACLE_TOL = 1e-14
+#: sweeps :func:`evolve_float_oracle` makes before it gives up
+ORACLE_MAX_SWEEPS = 200000
+
+
+def evolve_float_oracle(state: TodaState):
     """Double-precision fixed-point iteration for the cyclic solve.
 
     Sweeps x_n = I_n + V_n - I_n V_{n-1} / x_{n-1} in place (cyclic),
     starting from x_n = I_n + V_n, until the sweep-to-sweep relative change
-    is below ``tol``.  Returns (new_I_floats, new_V_floats).  Independent
-    of the exact solver; used as its agreement oracle.
+    is below ``ORACLE_TOL``.  Returns (new_I_floats, new_V_floats).
+    Independent of the exact solver; used as its agreement oracle.
     """
     N = state.N
     fI = [float(x) for x in state.I[0]]
     fV = [float(v) for v in state.V]
     x = [fI[n] + fV[n] for n in range(N)]
-    for _ in range(max_sweeps):
+    for _ in range(ORACLE_MAX_SWEEPS):
         delta = 0.0
         for n in range(N):
             new = fI[n] + fV[n] - fI[n] * fV[n - 1] / x[n - 1]
             delta = max(delta, abs(new - x[n]) / abs(new))
             x[n] = new
-        if delta < tol:
+        if delta < ORACLE_TOL:
             break
     else:
         raise NumericFailureError("fixed-point oracle did not converge")
@@ -276,18 +282,30 @@ def state_to_dict(state: TodaState) -> dict:
     }
 
 
+def _json_q(value) -> Q:
+    """A rational from its JSON form: a string ``"p/q"`` or a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"a rational must be a string or a JSON integer, got {value!r}")
+    return as_q(value)
+
+
 def state_from_dict(data: dict) -> TodaState:
     try:
         N, M, t = data["N"], data["M"], data.get("t", 0)
         for key, value in (("N", N), ("M", M), ("t", t)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+        V, I = data["V"], data["I"]
+        if not isinstance(V, list):
+            raise TypeError(f"V must be a JSON list, got {V!r}")
+        if not isinstance(I, list) or not all(isinstance(row, list) for row in I):
+            raise TypeError(f"I must be a JSON list of lists, got {I!r}")
         return TodaState(
             N=N,
             M=M,
             t=t,
-            V=tuple(as_q(v) for v in data["V"]),
-            I=tuple(tuple(as_q(x) for x in row) for row in data["I"]),
+            V=tuple(_json_q(v) for v in V),
+            I=tuple(tuple(_json_q(x) for x in row) for row in I),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PdTodaError(f"malformed state JSON: {exc}") from exc
@@ -305,19 +323,23 @@ def state_from_json(text: str) -> TodaState:
     return state_from_dict(data)
 
 
+#: draws :func:`random_state` makes before it gives up on ``generic``
+RANDOM_STATE_RETRIES = 1000
+
+
 def random_state(
     N: int,
     M: int,
     rng: random.Random,
-    retries: int = 1000,
     generic: "Callable[[TodaState], bool] | None" = None,
 ) -> TodaState:
     """Random valid state with numerators and denominators <= 20.
 
     V-entries are drawn below 1 and I-entries above 1, which makes the
     product inequalities hold automatically.  If ``generic`` is given, the
-    draw is repeated (up to ``retries``) until the predicate accepts the
-    state; this is the redraw policy for the measure-zero non-generic sets.
+    draw is repeated (up to ``RANDOM_STATE_RETRIES``) until the predicate
+    accepts the state; this is the redraw policy for the measure-zero
+    non-generic sets.
     """
 
     def draw():
@@ -327,10 +349,10 @@ def random_state(
         )
         return TodaState(N=N, M=M, V=V, I=I)
 
-    for _ in range(retries):
+    for _ in range(RANDOM_STATE_RETRIES):
         s = draw()
         if not validate(s).ok:
             continue
         if generic is None or generic(s):
             return s
-    raise PdTodaError(f"no generic state found in {retries} draws for N={N}, M={M}")
+    raise PdTodaError(f"no generic state found in {RANDOM_STATE_RETRIES} draws for N={N}, M={M}")

@@ -2,7 +2,9 @@
 
 Coefficients are stored lowest degree first; the invariant is that the
 highest stored coefficient is nonzero, with the empty tuple representing
-the zero polynomial.  Everything here is exact except :func:`horner`,
+the zero polynomial.  :func:`horner` is the one univariate evaluator: it
+is exact on integer and rational coefficients and points, and
+floating-point on float and complex ones.  Everything else is exact except
 :func:`roots_numeric` and its check :func:`root_residual`, the deliberately
 floating-point routines.  The gcd takes one big-integer gcd and a degree
 bound modulo one word-size prime, and certifies its result exactly in Z[x].
@@ -134,12 +136,6 @@ class UniPoly:
             n >>= 1
         return out
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return UniPoly((ZERO,) * k + self.coeffs)
-
     def divmod(self, other: "UniPoly"):
         """Field division: self = q*other + r with deg r < deg other."""
         if other.is_zero():
@@ -157,12 +153,6 @@ class UniPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return UniPoly(quot), UniPoly(rem[: other.degree if other.degree > 0 else 0])
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise PdTodaError("inexact polynomial division")
-        return q
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -183,14 +173,11 @@ class UniPoly:
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, value):
-        """Exact Horner evaluation at a rational or an integer; floating-point
+        """Exact evaluation at a rational or an integer; floating-point
         evaluation is :func:`horner` on converted coefficients."""
         if not isinstance(value, (Q, int)):
             raise TypeError("UniPoly evaluates exactly; use horner for floats")
-        acc = value * 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return horner(self.coeffs, value)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -238,8 +225,8 @@ def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
         return (p or q).monic()
     if p.degree == 0 or q.degree == 0:
         return UniPoly.one()
-    a = _primitive_int(p)
-    b = _primitive_int(q)
+    a = _primitive(cleared([p])[0][0])
+    b = _primitive(cleared([q])[0][0])
     leads = a[-1] * b[-1]
     primes = (ell for ell in map(_prime, count()) if leads % ell)
     bound = _gcd_degree_mod(a, b, next(primes))
@@ -311,13 +298,15 @@ def _prime(index: int) -> int:
     return _PRIMES[index]
 
 
-def _primitive_int(p: UniPoly) -> list:
-    """Integer coefficients of p scaled to content 1 and positive lead."""
+def cleared(polys: Sequence) -> tuple:
+    """Integer coefficient lists (lowest degree first) of a list of
+    UniPoly with rational coefficients, and the common denominator D that
+    was multiplied through."""
     # star-arguments from a list, not a generator: CPython collects a
     # generator into a resized 10-slot tuple, and on every call that strands
     # memory in the free list of another tuple size
-    den = lcm(*[int(c.denominator) for c in p.coeffs])
-    return _primitive([int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs])
+    den = lcm(*[int(a.denominator) for p in polys for a in p.coeffs])
+    return [[int(a.numerator) * (den // int(a.denominator)) for a in p.coeffs] for p in polys], den
 
 
 def _primitive(ints: list) -> list:
@@ -405,10 +394,16 @@ def _divides_int(h: list, a: list) -> bool:
     return not any(rem[:dh])
 
 
+#: the largest backward error :func:`roots_numeric` accepts for a root
+ROOT_RESIDUAL_BOUND = 1e-8
+
+
 def horner(coeffs: Sequence, z):
-    """p(z) by Horner's rule from float or complex coefficients, lowest
-    degree first; z may be a scalar or a numpy array."""
-    acc = 0j
+    """p(z) by Horner's rule, coefficients lowest degree first.
+
+    Exact on ints and rationals, floating-point on floats and complex
+    numbers; z may also be a numpy array.  The empty list gives 0."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -421,22 +416,18 @@ def root_residual(p: UniPoly, z: complex) -> float:
     makes z an exact root, and unlike |p(z)| / max|c_k| it does not grow
     with the size of z.
     """
-    value = 0j
-    magnitude = 0.0
-    size = abs(z)
-    for c in reversed(p.coeffs):
-        value = value * z + complex(c)
-        magnitude = magnitude * size + abs(float(c))
+    value = horner([complex(c) for c in p.coeffs], z)
+    magnitude = horner([abs(float(c)) for c in p.coeffs], abs(z))
     return abs(value) / magnitude if magnitude else 0.0
 
 
-def roots_numeric(p: UniPoly, residual_bound: float = 1e-8):
+def roots_numeric(p: UniPoly):
     """All complex roots in double precision, via companion-matrix
     eigenvalues plus a few Newton polishing steps.
 
     Returns roots sorted lexicographically by (real, imag).  Raises
     :class:`NumericFailureError` when some root's backward error
-    (:func:`root_residual`) exceeds ``residual_bound`` after polishing.
+    (:func:`root_residual`) exceeds ``ROOT_RESIDUAL_BOUND`` after polishing.
     """
     if p.degree < 1:
         raise PdTodaError("roots_numeric requires degree >= 1")
@@ -469,9 +460,9 @@ def roots_numeric(p: UniPoly, residual_bound: float = 1e-8):
 
     for z in polished:
         residual = root_residual(p, z)
-        if not residual <= residual_bound:  # NaN from overflow fails too
+        if not residual <= ROOT_RESIDUAL_BOUND:  # NaN from overflow fails too
             raise NumericFailureError(
-                f"root residual {residual:.3e} exceeds {residual_bound:.1e}"
+                f"root residual {residual:.3e} exceeds {ROOT_RESIDUAL_BOUND:.1e}"
             )
     polished.sort(key=lambda z: (z.real, z.imag))
     return polished

@@ -258,6 +258,23 @@ def test_exit_code_on_malformed_shape(tmp_path, key, value):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("key,value", [("V", "23"), ("I", ["34"]), ("V", [True, "1/3"])],
+                         ids=["V-string", "I-row-string", "V-bool"])
+def test_exit_code_on_malformed_rows(tmp_path, key, value):
+    # V, I and each I-row are JSON lists and a rational is a string or a
+    # JSON integer: a string is not iterated, and true is not taken as 1
+    data = {"N": 2, "M": 1, "t": 0, "V": [1, "1/3"], "I": [["3", 4]]}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(data))
+    assert run_cli("spectrum", "--input", str(good)).returncode == 0
+    bad = tmp_path / "rows.json"
+    bad.write_text(json.dumps({**data, key: value}))
+    r = run_cli("spectrum", "--input", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: malformed state JSON: ") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_exit_code_on_missing_file():
     r = run_cli("spectrum", "--input", "/nonexistent/state.json")
     assert r.returncode == 2

@@ -40,16 +40,21 @@ def test_theta_zero_locus_half_period():
 
 
 def test_theta_cutoff_guard():
-    tau = 0.0 + 1.0j
+    # a tiny Im tau needs a summation radius past the sane bound
+    tau = 0.1 + 1e-6j
     with pytest.raises(NumericFailureError):
-        riemann_theta(0.3 + 0.1j, tau, cutoff=1)
+        riemann_theta(0.3 + 0.1j, tau)
+    with pytest.raises(NumericFailureError):
+        theta_dlog(0.3 + 0.1j, tau)
 
 
 def test_theta_stable_under_cutoff_doubling():
     tau = 0.1 + 0.8j
     z = 0.4 + 0.3j
-    base = theta_cutoff(z, tau)
-    assert abs(riemann_theta(z, tau, cutoff=base) - riemann_theta(z, tau, cutoff=2 * base)) < 1e-12
+    wide = 2 * theta_cutoff(z, tau)
+    total = sum(cmath.exp(1j * math.pi * tau * n * n + 2j * math.pi * n * z)
+                for n in range(-wide, wide + 1))
+    assert abs(riemann_theta(z, tau) - total) < 1e-12
 
 
 def test_theta_dlog_is_odd():
@@ -268,6 +273,17 @@ def test_theta_check_builds_the_curve_once(monkeypatch):
     calls = _build_counter(monkeypatch)
     theta_check(TodaState(N=2, M=1, V=(1, 1), I=((2, 3),)))
     assert calls == {"char_poly": 1, "transfer_matrix": 1 + 2 + 11 + 1}
+
+
+def test_theta_check_takes_each_abel_image_once(monkeypatch):
+    # A((0, prod I)), A((0, prod V)) and the divisor points at t = 0 and
+    # t = 1; the x-divisor residual reuses the context's A((0, prod V))
+    calls = []
+    abel_finite = theta.EllipticModel.abel_finite
+    monkeypatch.setattr(theta.EllipticModel, "abel_finite",
+                        lambda self, x0, w0: calls.append(x0) or abel_finite(self, x0, w0))
+    report = theta_check(TodaState(N=2, M=1, V=(1, 1), I=((2, 3),)))
+    assert report["pass"] and len(calls) == 4
 
 
 def test_divisor_point_builds_x_once(monkeypatch):

@@ -300,7 +300,7 @@ def test_random_state_deterministic_and_bounded():
 
 def test_random_state_generic_retry_bound():
     with pytest.raises(PdTodaError):
-        random_state(2, 1, random.Random(1), retries=3, generic=lambda s: False)
+        random_state(2, 1, random.Random(1), generic=lambda s: False)
 
 
 @given(

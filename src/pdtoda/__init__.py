@@ -21,7 +21,6 @@ from .errors import (
     StateValidationError,
 )
 from .lax import (
-    BlochBasis,
     SpectralData,
     bloch_basis,
     char_poly,

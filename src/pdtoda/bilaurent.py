@@ -151,16 +151,7 @@ class BiLaurent:
     __radd__ = __add__
 
     def __sub__(self, other) -> "BiLaurent":
-        if not isinstance(other, BiLaurent):
-            other = BiLaurent.const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) - c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return BiLaurent(out, _clean=False)
+        return self + -other
 
     def __mul__(self, other) -> "BiLaurent":
         if not isinstance(other, BiLaurent):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -66,6 +67,14 @@ def _steps(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output:
@@ -110,10 +119,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_theta_check(args) -> int:
-    state = _read_state(args.input)
-    if state.N != 2 or state.M != 1:
-        raise PdTodaError("theta-check requires an N=2, M=1 state")
-    report = theta_check(state, steps=args.steps, tol=args.tol)
+    report = theta_check(_read_state(args.input), steps=args.steps, tol=args.tol)
     _emit(report, args.output)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
@@ -160,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="core, lax, appendix, divisor, theta, or all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="override the tolerance of the numeric screens")
     p.add_argument("--inject-fault", metavar="CHECK",
                    help="deliberately corrupt the named check (self-test)")
@@ -170,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--steps", type=_steps, default=10)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.set_defaults(func=cmd_theta_check)
 
     p = sub.add_parser("random-state", help="deterministic random valid state")

@@ -14,8 +14,10 @@ antitransposed (X* = J X^T J): "X" is X, "Xstar" is X*, "shift" is
 sigma^-1 X, "shiftstar" is (sigma^-1 X)* and "shiftup" is sigma X.
 ``operators`` builds one X per index shift and antitransposes it for the
 starred name, and ``divisor_of`` takes U of any of them on the shared
-curve.  The four corner resultants of X factor into pairs of these
-divisor polynomials (up to a nonzero scalar):
+curve.  The ``DivisorPoly`` it returns carries that curve, so
+``track_divisor`` builds it once and hands it from step to step.  The
+four corner resultants of X factor into pairs of these divisor
+polynomials (up to a nonzero scalar):
 
     res(phi, y*D_NN)  ~  U_X       * U_((sigma^-1 X)*),
     res(phi, y*D_11)  ~  U_(sigma X) * U_(X*),
@@ -38,13 +40,13 @@ screen, and never decides it; the caller compares them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bilaurent import BiLaurent
 from .errors import NonGenericDataError, PdTodaError
-from .lax import SpectralData, char_matrix, char_poly, spectral_data, transfer_matrix
+from .lax import SpectralData, char_matrix, char_poly, transfer_matrix
 from .lmatrix import LaurentMatrix, antitranspose, det, minor_signed, resultant_y
 from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
@@ -74,7 +76,7 @@ def operators(state: TodaState, variants) -> dict:
     return out
 
 
-def shift_conjugation_matrix(N: int, inverse: bool = False) -> LaurentMatrix:
+def shift_conjugation_matrix(N: int) -> LaurentMatrix:
     """The cyclic-shift conjugator C with C v = (v_N / y, v_1, ..., v_(N-1)):
     building X from the down-shifted state equals C X C^-1."""
     def fill(i, j):
@@ -84,14 +86,7 @@ def shift_conjugation_matrix(N: int, inverse: bool = False) -> LaurentMatrix:
             return BiLaurent.one()
         return BiLaurent.zero()
 
-    def fill_inv(i, j):
-        if i == N and j == 1:
-            return BiLaurent.y()
-        if j == i + 1:
-            return BiLaurent.one()
-        return BiLaurent.zero()
-
-    return LaurentMatrix.build(N, N, fill_inv if inverse else fill)
+    return LaurentMatrix.build(N, N, fill)
 
 
 def corner_minor(X: LaurentMatrix, i: int, j: int) -> BiLaurent:
@@ -127,18 +122,29 @@ def corner_resultants(X: LaurentMatrix, sd: SpectralData):
     """R = res_y(phi, y D_NN) and S = res_y(phi, y D_1N) of X - xE on the
     curve of ``sd``, each x-content stripped."""
     phi, N = sd.phi_cleared, sd.N
-    return (minor_resultant(phi, corner_minor(X, N, N)),
-            minor_resultant(phi, corner_minor(X, 1, N)))
+    cm = char_matrix(X)
+    return (minor_resultant(phi, minor_signed(cm, N, N)),
+            minor_resultant(phi, minor_signed(cm, 1, N)))
+
+
+def _genus_gcd(R: UniPoly, S: UniPoly, g: int, variant: str) -> UniPoly:
+    """U = gcd_monic(R, S), which must have degree g on generic data."""
+    ups = gcd_monic(R, S)
+    if ups.degree != g:
+        raise NonGenericDataError(
+            f"gcd degree {ups.degree} != genus {g} for variant {variant}"
+        )
+    return ups
 
 
 @dataclass(frozen=True)
 class DivisorPoly:
     """Monic degree-g polynomial whose roots are the x-coordinates of the
-    finite divisor of one operator variant."""
+    finite divisor of one operator variant, with the curve it was taken on."""
 
     poly: UniPoly
     t: int
-    variant: str
+    curve: SpectralData = field(compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -170,18 +176,11 @@ def divisor_poly(state: TodaState, variant: str = "X", *,
     return divisor_of(op, curve or char_poly(op, state.N, state.M), state.t, variant)
 
 
-def divisor_of(X: LaurentMatrix, sd: SpectralData, t: int, variant: str = "X", *,
-               corners=None) -> DivisorPoly:
-    """U of the operator X on the curve of ``sd``; ``corners`` is X's (R, S)
-    when the caller already has them."""
+def divisor_of(X: LaurentMatrix, sd: SpectralData, t: int, variant: str = "X") -> DivisorPoly:
+    """U of the operator X on the curve of ``sd``."""
     if sd.g == 0:
-        return DivisorPoly(poly=UniPoly.one(), t=t, variant=variant)
-    ups = gcd_monic(*(corners or corner_resultants(X, sd)))
-    if ups.degree != sd.g:
-        raise NonGenericDataError(
-            f"gcd degree {ups.degree} != genus {sd.g} for variant {variant}"
-        )
-    return DivisorPoly(poly=ups, t=t, variant=variant)
+        return DivisorPoly(poly=UniPoly.one(), t=t, curve=sd)
+    return DivisorPoly(poly=_genus_gcd(*corner_resultants(X, sd), sd.g, variant), t=t, curve=sd)
 
 
 def zeros_factorization_check(state: TodaState) -> dict:
@@ -189,40 +188,35 @@ def zeros_factorization_check(state: TodaState) -> dict:
 
     Also checks the determinant identity
     D_11 D_NN - D_1N D_N1 = phi_tilde * (inner double minor), which forces
-    the corner minors to share their zeros on the curve.  Returns
-    {label: (lhs, rhs)}; raises on non-generic data.
+    the corner minors to share their zeros on the curve.  The four corner
+    minors of X are taken once and serve both.  Returns {label: (lhs, rhs)};
+    raises on non-generic data.
     """
     require_valid(state)
     ops = operators(state, OPERATORS)
     X = ops["X"]
     sd = char_poly(X, state.N, state.M)
     N = sd.N
-    phi = sd.phi_cleared
-    R, S = corner_resultants(X, sd)
-    ups = {v: divisor_of(op, sd, state.t, v, corners=(R, S) if v == "X" else None).poly
-           for v, op in ops.items()}
-    known = {(N, N): R, (1, N): S}
     pairs = {
         (N, N): ("X", "shiftstar"),
         (1, 1): ("shiftup", "Xstar"),
         (1, N): ("X", "Xstar"),
         (N, 1): ("shiftup", "shiftstar"),
     }
-    results = {}
-    for (i, j), (va, vb) in pairs.items():
-        res = known[i, j] if (i, j) in known else minor_resultant(phi, corner_minor(X, i, j))
-        results[f"D{i}{j}"] = (_normalized(res), _normalized(ups[va] * ups[vb]))
-
     cm = char_matrix(X)
-    d11 = minor_signed(cm, 1, 1)
-    dnn = minor_signed(cm, N, N)
-    d1n = minor_signed(cm, 1, N)
-    dn1 = minor_signed(cm, N, 1)
+    minors = {ij: minor_signed(cm, *ij) for ij in pairs}
+    res = {ij: minor_resultant(sd.phi_cleared, m) for ij, m in minors.items()}
+    ups = {v: divisor_of(op, sd, state.t, v).poly for v, op in ops.items() if v != "X"}
+    ups["X"] = _genus_gcd(res[N, N], res[1, N], sd.g, "X")
+    results = {f"D{i}{j}": (_normalized(res[i, j]), _normalized(ups[va] * ups[vb]))
+               for (i, j), (va, vb) in pairs.items()}
+
     if N == 2:
         inner = BiLaurent.one()
     else:
         inner = det(cm.submatrix(1, 1).submatrix(N - 1, N - 1))
-    results["double_minor_identity"] = (d11 * dnn - d1n * dn1, sd.phi * inner)
+    results["double_minor_identity"] = (
+        minors[1, 1] * minors[N, N] - minors[1, N] * minors[N, 1], sd.phi * inner)
     return results
 
 
@@ -269,12 +263,11 @@ def common_zero_support_check(state: TodaState) -> float:
         return 0.0
     N = sd.N
     phi = sd.phi_cleared
-    r_n1 = minor_resultant(phi, corner_minor(X, N, 1))
-    r_nn = minor_resultant(phi, corner_minor(X, N, N))
-    common = gcd_monic(r_n1, r_nn)
+    cm = char_matrix(X)
+    minors = [minor_signed(cm, N, k) for k in range(1, N + 1)]
+    common = gcd_monic(minor_resultant(phi, minors[0]), minor_resultant(phi, minors[N - 1]))
     if common.degree < 1:
         raise NonGenericDataError("no common zeros found")
-    minors = [corner_minor(X, N, k) for k in range(1, N + 1)]
     points = [(x0, fiber_point(phi, x0, minors[0], minors[N - 1])) for x0 in roots_numeric(common)]
     return float(np.max([rel_eval(m, x0, y0) for x0, y0 in points for m in minors]))
 
@@ -283,19 +276,18 @@ def track_divisor(state: TodaState, steps: int, curve: SpectralData | None = Non
     """U_t for t = 0..steps along the exact trajectory.
 
     phi is conserved by the flow, so one curve serves every step's
-    ``divisor_poly``: ``curve`` when the caller has it, else the curve
-    built at t = 0.  Each step still validates its state and builds its own
-    X_t for the corner minors.  Isospectrality has its own exact check in
-    ``verify``.
+    ``divisor_poly``: ``curve`` when the caller has it, else the curve that
+    the t = 0 step builds from its own X.  Each U carries the curve it was
+    taken on, and the next step reuses it, so every entry's ``curve`` is
+    the same object.  Each step still validates its state and builds its
+    own X_t for the corner minors.  Isospectrality has its own exact check
+    in ``verify``.
     """
     out = []
     s = state
-    sd = curve
     for k in range(steps + 1):
         try:
-            if sd is None:
-                sd = spectral_data(s)
-            out.append(divisor_poly(s, "X", curve=sd))
+            out.append(divisor_poly(s, "X", curve=out[-1].curve if out else curve))
         except NonGenericDataError as exc:
             raise NonGenericDataError(f"at step {k}: {exc}") from exc
         if k < steps:

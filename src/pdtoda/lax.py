@@ -36,45 +36,28 @@ from .unipoly import UniPoly
 
 
 def l_matrix(state: TodaState) -> LaurentMatrix:
-    """The V-factor: unit diagonal, V_1..V_(N-1) subdiagonal, V_N/y corner.
-    For N = 1 the diagonal and corner coincide and the single entry is
-    1 + V_1/y."""
+    """The V-factor: unit diagonal, V_1..V_(N-1) subdiagonal, V_N/y added
+    in the upper-right corner (for N = 1 the single entry is 1 + V_1/y)."""
     N = state.N
-    if N == 1:
-        return LaurentMatrix([[BiLaurent.one() + BiLaurent.term(state.V[0], 0, -1)]])
-
-    def fill(i, j):
-        if i == j:
-            return BiLaurent.one()
-        if i == j + 1:
-            return BiLaurent.const(state.V[j - 1])
-        if i == 1 and j == N:
-            return BiLaurent.term(state.V[N - 1], 0, -1)
-        return BiLaurent.zero()
-
-    return LaurentMatrix.build(N, N, fill)
+    cells = [[BiLaurent.one() if i == j else
+              BiLaurent.const(state.V[j]) if i == j + 1 else BiLaurent.zero()
+              for j in range(N)] for i in range(N)]
+    cells[0][N - 1] = cells[0][N - 1] + BiLaurent.term(state.V[N - 1], 0, -1)
+    return LaurentMatrix(cells)
 
 
 def r_matrix(state: TodaState, layer: int = 0) -> LaurentMatrix:
-    """The I-factor for one layer: diagonal I-row, unit superdiagonal,
-    y in the lower-left corner.  For N = 1 the entry is I_1 + y."""
+    """The I-factor for one layer: diagonal I-row, unit superdiagonal, y
+    added in the lower-left corner (for N = 1 the entry is I_1 + y)."""
     if not 0 <= layer < state.M:
         raise PdTodaError(f"layer {layer} out of range for M={state.M}")
     row = state.I[layer]
     N = state.N
-    if N == 1:
-        return LaurentMatrix([[BiLaurent.const(row[0]) + BiLaurent.y()]])
-
-    def fill(i, j):
-        if i == j:
-            return BiLaurent.const(row[i - 1])
-        if j == i + 1:
-            return BiLaurent.one()
-        if i == N and j == 1:
-            return BiLaurent.y()
-        return BiLaurent.zero()
-
-    return LaurentMatrix.build(N, N, fill)
+    cells = [[BiLaurent.const(row[i]) if i == j else
+              BiLaurent.one() if j == i + 1 else BiLaurent.zero()
+              for j in range(N)] for i in range(N)]
+    cells[N - 1][0] = cells[N - 1][0] + BiLaurent.y()
+    return LaurentMatrix(cells)
 
 
 def transfer_matrix(state: TodaState) -> LaurentMatrix:
@@ -306,27 +289,16 @@ def banded_template(params: BandParams) -> LaurentMatrix:
     return LaurentMatrix(cells)
 
 
-@dataclass(frozen=True)
-class BlochBasis:
-    """The M+1 formal eigenvector windows, extended by the band recurrence.
-
-    ``vectors[j-1][n-1]`` is component n of the j-th basis vector as a
-    polynomial in the spectral parameter x; the first M+1 components form
-    the identity pattern.
-    """
-
-    N: int
-    M: int
-    vectors: tuple
-
-
-def bloch_basis(state: TodaState, upto: int, params: BandParams | None = None) -> BlochBasis:
-    """Extend the M+1 identity windows with the three-term-band recurrence
+def bloch_basis(state: TodaState, upto: int, params: BandParams | None = None) -> tuple:
+    """The M+1 formal eigenvector windows, extended by the band recurrence
 
         v_(n+M) = x v_n - beta_(n-1) v_(n-1) - sum_k alpha^(k)_(n+k-1) v_(n+k-1),
 
-    starting at n = 2; unit leading coefficient makes this division-free."""
-    N, M = state.N, state.M
+    starting at n = 2; unit leading coefficient makes this division-free.
+    ``basis[j-1][n-1]`` is component n of the j-th vector as a polynomial
+    in the spectral parameter x; the first M+1 components form the identity
+    pattern."""
+    M = state.M
     if params is None:
         params = band_params(state)
     if upto < M + 1:
@@ -341,7 +313,7 @@ def bloch_basis(state: TodaState, upto: int, params: BandParams | None = None) -
                 new = new - params.a(k, n + k - 1) * comp[n + k - 2]
             comp.append(new)
         vectors.append(tuple(comp))
-    return BlochBasis(N=N, M=M, vectors=tuple(vectors))
+    return tuple(vectors)
 
 
 def time_step_matrix(state: TodaState) -> LaurentMatrix:
@@ -355,7 +327,7 @@ def time_step_matrix(state: TodaState) -> LaurentMatrix:
         cells[i - 1][i - 1] = BiLaurent.const(state.i(i))
         cells[i - 1][i] = BiLaurent.one()
     for j in range(1, M + 2):
-        cells[M][j - 1] = BiLaurent.from_unipoly(basis.vectors[j - 1][M + 1])
+        cells[M][j - 1] = BiLaurent.from_unipoly(basis[j - 1][M + 1])
     cells[M][M] = cells[M][M] + BiLaurent.const(state.i(M + 1))
     return LaurentMatrix(cells)
 

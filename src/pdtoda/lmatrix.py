@@ -71,10 +71,6 @@ class LaurentMatrix:
         """Construct from a 1-based entry function."""
         return cls([[fill(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def entry(self, i: int, j: int) -> BiLaurent:
         """1-based access."""
         return self.entries[i - 1][j - 1]

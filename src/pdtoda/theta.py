@@ -190,7 +190,6 @@ def theta_dlog(z: complex, tau: complex) -> complex:
 class EllipticModel:
     """Curve data, periods and the Abel map for one N=2, M=1 state."""
 
-    state: TodaState
     prods: tuple             # conserved products (prod V, prod I), from validation
     curve: SpectralData      # the state's spectral data, shared by its orbit
     q: UniPoly
@@ -325,7 +324,7 @@ def elliptic_model(state: TodaState) -> EllipticModel:
         tau = -tau
     if tau.imag <= 0:
         raise NumericFailureError("failed to orient the period lattice")
-    return EllipticModel(state=state, prods=prods, curve=sd, q=q, c=c, f=f, branch=es,
+    return EllipticModel(prods=prods, curve=sd, q=q, c=c, f=f, branch=es,
                          a_period=a_per, b_period=b_per, tau=tau)
 
 
@@ -360,7 +359,6 @@ class ThetaContext:
     """Everything needed to evaluate the divisor-coordinate prediction."""
 
     model: EllipticModel
-    tau: complex
     k_vec: complex          # A(P - Q)
     nu_step: complex        # measured per-time-step Abel increment
     time_mode: str          # which fiber point over x=0 drives the step
@@ -369,15 +367,9 @@ class ThetaContext:
     c_res: complex          # Res_P(x omega)
     cprime_res: complex     # Res_Q(x omega)
     a_integral: complex     # oint_a x omega
-    abel_P: complex
     abel_A1: complex        # A((0, prod I))
     abel_AV: complex        # A((0, prod V))
     abel_D0: complex
-
-    def z_args(self, n: int, t: int):
-        zQ = self.c0 - n * self.k_vec - t * self.nu_step
-        zP = zQ + self.k_vec
-        return zP, zQ
 
 
 def theta_context(state: TodaState) -> ThetaContext:
@@ -394,8 +386,7 @@ def theta_context(state: TodaState) -> ThetaContext:
     output (it is the executable content of the time-shift linearization).
     """
     model = elliptic_model(state)
-    tau = model.tau
-    K = (1 + tau) / 2  # genus-1 theta zero locus
+    K = (1 + model.tau) / 2  # genus-1 theta zero locus
 
     abel_P = model.abel_infinity()
     abel_Q = model.lattice_reduce(-abel_P)
@@ -437,7 +428,6 @@ def theta_context(state: TodaState) -> ThetaContext:
     c0 = abel_Q - abel_D0 - K
     return ThetaContext(
         model=model,
-        tau=tau,
         k_vec=k_vec,
         nu_step=nu_step,
         time_mode=time_mode,
@@ -446,7 +436,6 @@ def theta_context(state: TodaState) -> ThetaContext:
         c_res=c_res,
         cprime_res=cprime_res,
         a_integral=a_integral,
-        abel_P=abel_P,
         abel_A1=abel_A1,
         abel_AV=abel_AV,
         abel_D0=abel_D0,
@@ -460,12 +449,10 @@ def predicted_divisor_x(ctx: ThetaContext, n: int, t: int) -> complex:
         x = oint_a x omega - c dlogtheta(z_P) - c' dlogtheta(z_Q),
 
     z_Q = c_0 - n A(P-Q) - t nu_step and z_P = z_Q + A(P-Q)."""
-    zP, zQ = ctx.z_args(n, t)
-    return (
-        ctx.a_integral
-        - ctx.c_res * theta_dlog(zP, ctx.tau)
-        - ctx.cprime_res * theta_dlog(zQ, ctx.tau)
-    )
+    zQ = ctx.c0 - n * ctx.k_vec - t * ctx.nu_step
+    zP = zQ + ctx.k_vec
+    tau = ctx.model.tau
+    return ctx.a_integral - ctx.c_res * theta_dlog(zP, tau) - ctx.cprime_res * theta_dlog(zQ, tau)
 
 
 def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
@@ -507,7 +494,7 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     add_entry(1, 0, complex(float(divisor_poly(shifted, "X", curve=model.curve).x_sum())))
 
     return {
-        "tau": [ctx.tau.real, ctx.tau.imag],
+        "tau": [model.tau.real, model.tau.imag],
         "time_mode": ctx.time_mode,
         "time_sign": ctx.time_sign,
         "torsion_residual": torsion,

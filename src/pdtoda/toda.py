@@ -70,6 +70,7 @@ grow, and a trajectory computes them from the entries only once:
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from .errors import (
@@ -78,8 +79,7 @@ from .errors import (
     PdTodaError,
     StateValidationError,
 )
-from .rationals import ONE, ZERO, Q, as_q, q_str
-from functools import reduce
+from .rationals import ZERO, Q, as_q, q_str
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,10 @@ def require_valid(state: TodaState) -> tuple:
     return report.products
 
 
-def prod(values) -> Q:
-    return reduce(lambda a, b: a * b, values, ONE)
-
-
 def conserved_products(state: TodaState):
     """(prod V, prod I-row 0, ..., prod I-row M-1); the multiset is
     preserved by the evolution, with the I entries cyclically relabeled."""
-    return (prod(state.V),) + tuple(prod(row) for row in state.I)
+    return (math.prod(state.V),) + tuple(math.prod(row) for row in state.I)
 
 
 def evolve(state: TodaState) -> TodaState:
@@ -318,7 +314,7 @@ def state_to_json(state: TodaState) -> str:
 def state_from_json(text: str) -> TodaState:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise PdTodaError(f"invalid JSON: {exc}") from exc
     return state_from_dict(data)
 

@@ -141,11 +141,11 @@ def _dump(label, witness, **sides) -> dict:
     return details
 
 
-def _states(rng, shapes, per_shape, generic=None):
+def _states(rng, shapes, per_shape):
     out = []
     for (N, M) in shapes:
         for _ in range(per_shape):
-            out.append(random_state(N, M, rng, generic=generic))
+            out.append(random_state(N, M, rng))
     return out
 
 
@@ -263,7 +263,7 @@ def _bloch(rng, ck):
         upto = 2 * s.N + 2
         basis = bloch_basis(s, upto=upto, params=params)
         x = UniPoly.x()
-        for vec in basis.vectors:
+        for vec in basis:
             for n in range(2, upto - s.M + 1):
                 rhs = x * vec[n - 1] - params.b(n - 1) * vec[n - 2]
                 for k in range(1, s.M + 1):
@@ -271,7 +271,7 @@ def _bloch(rng, ck):
                 ck.eq(f"Bloch recurrence at n={n}", s, vec[n + s.M - 1], rhs)
         # windows at a shifted offset stay independent at random rational x
         x0 = Q(rng.randint(1, 40), rng.randint(1, 7))
-        window = [[vec[s.M + 1 + i](x0) for vec in basis.vectors] for i in range(s.M + 1)]
+        window = [[vec[s.M + 1 + i](x0) for vec in basis] for i in range(s.M + 1)]
         wdet = det(LaurentMatrix([[BiLaurent.const(c) for c in row] for row in window]))
         ck.eq(f"shifted window at x={q_str(x0)} is degenerate", s, wdet.is_zero(), False)
     return {}
@@ -377,8 +377,8 @@ def _shift_conj(rng, ck):
     for s in _states(rng, [(2, 1), (3, 2), (4, 2), (5, 2)], 2):
         X = transfer_matrix(s)
         C = shift_conjugation_matrix(s.N)
-        Ci = shift_conjugation_matrix(s.N, inverse=True)
-        ck.eq("C X C^-1 = X of sigma^-1 s", s, (C @ X) @ Ci, transfer_matrix(index_shift(s, -1)))
+        ck.eq("C X = X' C with X' the X of sigma^-1 s", s,
+              C @ X, transfer_matrix(index_shift(s, -1)) @ C)
         cur = s
         for _ in range(s.N):
             cur = index_shift(cur, 1)

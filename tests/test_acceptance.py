@@ -1,5 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
-its measured margin.  Tolerances are pinned here and nowhere else.
+its measured margin.  Each test writes out the tolerance it applies; the
+``verify`` checks hold the same bounds (1e-10 for the evolution oracle,
+1e-6 for the theta reproduction, ``theta.PRINCIPAL_DIVISOR_TOL`` = 1e-8
+for the principal-divisor residuals), so a change to one is a change to
+both.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also exercised by `pdtoda verify`.

@@ -275,6 +275,16 @@ def test_exit_code_on_malformed_rows(tmp_path, key, value):
     assert r.stdout == ""
 
 
+def test_exit_code_on_oversized_json_integer(tmp_path):
+    # json.loads refuses an integer past the int-string limit (4300 digits)
+    bad = tmp_path / "big.json"
+    bad.write_text('{"N":1,"M":1,"V":[1],"I":[[' + "9" * 5000 + ']]}')
+    r = run_cli("spectrum", "--input", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: invalid JSON: ") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_exit_code_on_missing_file():
     r = run_cli("spectrum", "--input", "/nonexistent/state.json")
     assert r.returncode == 2
@@ -328,6 +338,18 @@ def test_exit_code_on_singular_curve(tmp_path):
 def test_verify_tol_override_still_passes():
     r = run_cli("verify", "--suite", "theta", "--seed", "9", "--tol", "1e-4")
     assert r.returncode == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["verify", "theta-check"])
+def test_meaningless_tol_is_usage_error(state_file, command, value):
+    # a tolerance is a finite number >= 0; nan passes no screen and inf
+    # passes every one
+    where = ["--suite", "divisor"] if command == "verify" else ["--input", str(state_file)]
+    r = run_cli(command, *where, "--tol", value)
+    assert r.returncode == 2
+    assert "--tol" in r.stderr
+    assert r.stdout == ""
 
 
 def test_random_state_batch_passes_degree_profile():

@@ -73,8 +73,7 @@ def test_shift_conjugation_identity():
         s = random_state(N, M, rng)
         X = transfer_matrix(s)
         C = shift_conjugation_matrix(N)
-        Ci = shift_conjugation_matrix(N, inverse=True)
-        assert (C @ X) @ Ci == transfer_matrix(index_shift(s, -1))
+        assert C @ X == transfer_matrix(index_shift(s, -1)) @ C
         assert spectral_data(index_shift(s, -1)).phi == spectral_data(s).phi
 
 
@@ -183,6 +182,14 @@ def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
     assert calls == {"char_poly": 1, "transfer_matrix": 3}
 
 
+def test_zeros_factorizations_take_each_corner_minor_once(monkeypatch):
+    # the four corner minors of X serve its four resultants and the
+    # double-minor identity; each other operator takes two for its U
+    calls = _call_counter(monkeypatch, [(divisor, "minor_signed")])
+    zeros_factorization_check(random_state(4, 2, random.Random(86)))
+    assert calls == {"minor_signed": 12}
+
+
 def test_double_minor_identity_is_part_of_report():
     rng = random.Random(81)
     lhs, rhs = zeros_factorization_check(random_state(3, 2, rng))["double_minor_identity"]
@@ -228,6 +235,13 @@ def test_common_zero_support_builds_x_once(monkeypatch):
     calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
     assert common_zero_support_check(random_state(3, 2, random.Random(83))) <= COMMON_ZERO_TOL
     assert calls == {"transfer_matrix": 1}
+
+
+def test_common_zero_support_takes_each_minor_once(monkeypatch):
+    # D_N1 and D_NN feed the resultants and the screen alike
+    calls = _call_counter(monkeypatch, [(divisor, "minor_signed")])
+    assert common_zero_support_check(random_state(3, 2, random.Random(83))) <= COMMON_ZERO_TOL
+    assert calls == {"minor_signed": 3}
 
 
 def test_smoothness_generic_exact_certificate():
@@ -287,6 +301,31 @@ def test_track_divisor_builds_the_curve_once(monkeypatch):
     track = track_divisor(_grown_state(4, 2, 95), 10)
     assert len(track) == 11 and all(dp.degree == 4 for dp in track)
     assert calls == {"char_poly": 1, "divisor_poly": 11}
+
+
+def test_track_divisor_builds_one_x_per_step(monkeypatch, tmp_path):
+    # the t = 0 step takes the curve from the X it builds for its corner
+    # minors, so 10 steps build 11 transfer matrices, as a library call and
+    # through the divisor command
+    s = _grown_state(4, 2, 95)
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(s), encoding="utf-8")
+    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
+    track_divisor(s, 10)
+    assert calls == {"transfer_matrix": 11}
+    calls.clear()
+    assert cli.main(["divisor", "--input", str(path), "--steps", "10", "--output",
+                     str(tmp_path / "track.json")]) == 0
+    assert calls == {"transfer_matrix": 11}
+
+
+def test_track_divisor_passes_one_curve_along():
+    s = _grown_state(4, 2, 95)
+    track = track_divisor(s, 3)
+    assert all(dp.curve is track[0].curve for dp in track)
+    assert track[0].curve.phi == spectral_data(s).phi
+    sd = spectral_data(s)
+    assert all(dp.curve is sd for dp in track_divisor(s, 3, curve=sd))
 
 
 def test_divisor_poly_refuses_a_curve_of_another_shape():

@@ -225,12 +225,12 @@ def test_bloch_window_identity_pattern_and_relation():
     s = random_state(4, 2, rng)
     params = band_params(s)
     basis = bloch_basis(s, upto=9, params=params)
-    for j, vec in enumerate(basis.vectors, start=1):
+    for j, vec in enumerate(basis, start=1):
         for n in range(1, s.M + 2):
             expected = UniPoly.one() if n == j else UniPoly.zero()
             assert vec[n - 1] == expected
     x = UniPoly.x()
-    for vec in basis.vectors:
+    for vec in basis:
         for n in range(2, 9 - s.M + 1):
             rhs = x * vec[n - 1] - params.b(n - 1) * vec[n - 2]
             for k in range(1, s.M + 1):
@@ -247,7 +247,7 @@ def test_bloch_vectors_independent_at_sample():
     x0 = Q(13, 7)
     window = LaurentMatrix(
         [
-            [BiLaurent.const(vec[s.M + 1 + i](x0)) for vec in basis.vectors]
+            [BiLaurent.const(vec[s.M + 1 + i](x0)) for vec in basis]
             for i in range(s.M + 1)
         ]
     )
@@ -262,7 +262,7 @@ def test_time_step_matrix_closed_substitutions():
     params = band_params(s)
     basis = bloch_basis(s, upto=s.M + 2, params=params)
     x = UniPoly.x()
-    vals = [vec[s.M + 1] for vec in basis.vectors]
+    vals = [vec[s.M + 1] for vec in basis]
     assert vals[0] == UniPoly.const(-params.b(1))
     assert vals[1] == x - UniPoly.const(params.a(1, 2))
     for j in range(3, s.M + 2):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -316,6 +317,4 @@ def test_property_evolution_preserves_products_and_validity(N, M, seed):
     assert conserved_products(nxt)[0] == conserved_products(s)[0]
     assert sorted(conserved_products(nxt)) == sorted(conserved_products(s))
     # the spurious branch is never taken: the new I-row keeps the old product
-    from pdtoda.toda import prod
-
-    assert prod(nxt.I[-1]) == prod(s.I[0])
+    assert math.prod(nxt.I[-1]) == math.prod(s.I[0])

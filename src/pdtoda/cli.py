@@ -20,6 +20,8 @@ import json
 import math
 import random
 import sys
+from contextlib import nullcontext
+from functools import lru_cache
 
 from .divisor import divisor_report, track_divisor
 from .errors import (
@@ -76,12 +78,12 @@ def _tolerance(text: str) -> float:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Stream the report as indented JSON and a newline to ``output`` or
+    stdout, chunk by chunk, instead of first building the whole text, and
+    a second copy with the newline appended."""
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def cmd_simulate(args) -> int:
@@ -148,18 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="state JSON file")
     p.add_argument("--output", help="trajectory JSON file (stdout if omitted)")
     p.add_argument("--steps", type=_steps, default=10)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="spectral polynomial report")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("divisor", help="divisor polynomial trajectory")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--steps", type=_steps, default=10)
-    p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("--suite", default="all",
@@ -170,29 +169,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the tolerance of the numeric screens")
     p.add_argument("--inject-fault", metavar="CHECK",
                    help="deliberately corrupt the named check (self-test)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("theta-check", help="genus-1 theta validation (N=2, M=1)")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--steps", type=_steps, default=10)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
-    p.set_defaults(func=cmd_theta_check)
 
     p = sub.add_parser("random-state", help="deterministic random valid state")
     p.add_argument("--nm", required=True, help="period and layer count, e.g. 4,2")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_random_state)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (StateValidationError,) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -47,7 +47,7 @@ import numpy as np
 from .bilaurent import BiLaurent
 from .errors import NonGenericDataError, PdTodaError
 from .lax import SpectralData, char_matrix, char_poly, transfer_matrix
-from .lmatrix import LaurentMatrix, antitranspose, det, minor_signed, resultant_y
+from .lmatrix import LaurentMatrix, antitranspose, corner_minors, det, minor_signed, resultant_y
 from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
 from .unipoly import UniPoly, gcd_monic, horner, roots_numeric
@@ -89,11 +89,6 @@ def shift_conjugation_matrix(N: int) -> LaurentMatrix:
     return LaurentMatrix.build(N, N, fill)
 
 
-def corner_minor(X: LaurentMatrix, i: int, j: int) -> BiLaurent:
-    """Signed minor D_ij of X - xE."""
-    return minor_signed(char_matrix(X), i, j)
-
-
 def _normalized(p: UniPoly) -> UniPoly:
     """Strip x-power content and make monic; used for root-multiset
     comparisons up to nonzero scalars."""
@@ -120,11 +115,10 @@ def minor_resultant(phi_cleared: BiLaurent, minor: BiLaurent) -> UniPoly:
 
 def corner_resultants(X: LaurentMatrix, sd: SpectralData):
     """R = res_y(phi, y D_NN) and S = res_y(phi, y D_1N) of X - xE on the
-    curve of ``sd``, each x-content stripped."""
-    phi, N = sd.phi_cleared, sd.N
-    cm = char_matrix(X)
-    return (minor_resultant(phi, minor_signed(cm, N, N)),
-            minor_resultant(phi, minor_signed(cm, 1, N)))
+    curve of ``sd``, each x-content stripped; both minors come from one
+    table of the minors they share."""
+    phi = sd.phi_cleared
+    return tuple(minor_resultant(phi, m) for m in corner_minors(char_matrix(X)))
 
 
 def _genus_gcd(R: UniPoly, S: UniPoly, g: int, variant: str) -> UniPoly:

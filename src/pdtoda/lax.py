@@ -25,6 +25,7 @@ the caller compares them (``verify`` through its comparer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd
 
 from .bilaurent import BiLaurent, mul_add
@@ -126,9 +127,10 @@ class SpectralData:
     phi: BiLaurent          # det(X - xE), Laurent in y
     A: tuple                # A_0..A_(M+1), polynomials in x
 
-    @property
+    @cached_property
     def phi_cleared(self) -> BiLaurent:
-        """y * phi, an ordinary polynomial in y (degree M+1)."""
+        """y * phi, an ordinary polynomial in y (degree M+1); one object per
+        curve, so ``resultant_y`` clears it to integers once."""
         return self.phi.mul_y(1)
 
 

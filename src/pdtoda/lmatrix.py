@@ -7,8 +7,9 @@ costs O(2^n n) multiplications.  Its partial minors are raw term dicts,
 accumulated in place by the package's one product kernel
 ``bilaurent.mul_add``; the permutation sign is folded in by taking each
 entry in the sign its column position asks for, and the result is wrapped
-in a BiLaurent once, at the end.  Naive Laplace expansion is kept as the
-test oracle.
+in a BiLaurent once, at the end.  ``corner_minors`` reads the two corner
+minors D_NN and D_1N off one table of partial minors over the rows they
+share.  Naive Laplace expansion is kept as the test oracle.
 
 Resultants are Sylvester-matrix determinants.  The convention is
 
@@ -17,15 +18,34 @@ Resultants are Sylvester-matrix determinants.  The convention is
 equivalently the determinant of the Sylvester matrix whose first deg(q)
 rows carry the coefficients of p.  For speed the determinant in y with
 x-polynomial entries is computed over the integers (Collins' evaluation
-scheme): denominators are cleared once, the integer Sylvester matrix is
-evaluated at x = 0, 1, ..., b, its determinants are taken by fraction-free
-Bareiss elimination with exact integer division, and the samples are
-interpolated by integer forward differences.  The degree bound b is the
-assignment bound, the largest sum of entry degrees over the permutations
-that avoid zero entries, which no term of Leibniz's expansion exceeds.
-Every step is exact, so no moduli or coefficient bounds are involved.  The
-Laplace expansion of the Sylvester matrix over x-polynomials is kept as
-the test oracle.
+scheme): denominators are cleared once, the integer polynomials P and Q
+are evaluated at x = 0, 1, ..., b, the value of each sample is taken
+exactly, and the samples are interpolated by integer forward
+differences.  The degree bound b is the assignment bound, the largest sum
+of entry degrees over the permutations of the Sylvester matrix that avoid
+zero entries, which no term of Leibniz's expansion exceeds.
+
+A sample is not the (dp+dq)-square Sylvester determinant but its
+reduction modulo P, the norm form res(P, Q) = c^dq det Q(C_P) with c the
+lead of P and C_P its companion matrix.  With formal degrees dp and dq,
+pseudo-reduce
+
+    c^(e_j) y^j Q = A_j P + r_j,   deg r_j < dp,   j = 0..dp-1.
+
+Scaling a Q-row of the Sylvester matrix by c^(e_j) and subtracting the
+P-row multiples A_j P turns it block triangular, the P block triangular
+with c on its diagonal, so
+
+    Syl(P, Q) = c^dq det[r_(dp-1); ...; r_0] / c^(e_0 + ... + e_(dp-1)).
+
+The division is exact because the quotient is the integer Syl(P, Q); it
+is checked anyway.  When lead P vanishes at a sample the roles swap,
+Syl(P, Q) = (-1)^(dp dq) Syl(Q, P) reduced modulo Q; when both leads
+vanish the first Sylvester column is zero and so is the sample.  The dp x
+dp determinant is taken by fraction-free Bareiss elimination.  Every step
+is exact, so no moduli or coefficient bounds are involved.  The Laplace
+expansion of the Sylvester matrix over x-polynomials is kept as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -123,7 +143,7 @@ def det(m: LaurentMatrix) -> BiLaurent:
     """
     if m.rows != m.cols:
         raise DimensionError(f"determinant of {m.rows}x{m.cols} matrix")
-    return _det_subsets(m.entries)
+    return BiLaurent(_minor_table(m.entries).get((1 << m.rows) - 1, {}), _clean=False)
 
 
 def det_cofactor(m: LaurentMatrix) -> BiLaurent:
@@ -147,15 +167,18 @@ def _det_laplace(rows) -> BiLaurent:
     return acc
 
 
-def _det_subsets(rows) -> BiLaurent:
-    """Expansion by minors with memoization on column subsets.
+def _minor_table(rows) -> dict:
+    """Expansion by minors with memoization on column subsets: column
+    bitmask -> term dict of the minor over all of ``rows`` and those
+    columns, for every column set that ``rows`` fills.  ``det`` reads the
+    full mask.
 
-    det over rows 0..k-1 and a column set S (|S| = k) is built bottom up;
-    O(2^n) subproblems instead of n! cofactor paths.  Partial minors are
-    raw term dicts accumulated by ``mul_add``; the result is wrapped once.
+    The minors over rows 0..k-1 are built bottom up; O(2^n) subproblems
+    instead of n! cofactor paths.  Partial minors are raw term dicts
+    accumulated by ``mul_add``; a minor that cancels to nothing is dropped
+    from the table.
     """
-    n = len(rows)
-    current = {0: {(0, 0): ONE}}  # bitmask of used columns -> minor det terms
+    current = {0: {(0, 0): ONE}}
     for row in rows:
         # each entry in both signs, so the permutation sign costs no product
         signed = [(a.terms, {e: -c for e, c in a.terms.items()}) if a.terms else None
@@ -168,7 +191,7 @@ def _det_subsets(rows) -> BiLaurent:
             # number of already-used columns above j: the inversions the
             # permutation gains by placing this row in column j
             parity = 0
-            for j in range(n - 1, -1, -1):
+            for j in range(len(row) - 1, -1, -1):
                 bit = 1 << j
                 if mask & bit:
                     parity ^= 1
@@ -182,8 +205,36 @@ def _det_subsets(rows) -> BiLaurent:
                     mul_add(acc, a[parity], sub)
         current = nxt
         if not current:
-            return BiLaurent.zero()
-    return BiLaurent(current.get((1 << n) - 1, {}), _clean=False)
+            break
+    return current
+
+
+def corner_minors(m: LaurentMatrix) -> tuple:
+    """The signed minors (D_NN, D_1N) of a square matrix, equal to
+    ``minor_signed(m, N, N)`` and ``minor_signed(m, 1, N)``.
+
+    Both delete column N and keep rows 2..N-1, so one table of the minors
+    over those rows serves both: D_NN is one Laplace step along row 1,
+    D_1N one along row N.  Column j (0-based) of the table's complement
+    carries the sign (-1)^j in D_NN and -(-1)^j in D_1N.
+    """
+    if m.rows != m.cols:
+        raise DimensionError("corner minors of non-square matrix")
+    n = m.rows
+    if n == 1:
+        return BiLaurent.one(), BiLaurent.one()
+    rows = m.entries
+    table = _minor_table([row[:-1] for row in rows[1:-1]])
+    full = (1 << (n - 1)) - 1
+    out = []
+    for row, sign in ((rows[0], 0), (rows[-1], 1)):
+        acc = {}
+        for j, a in enumerate(row[:-1]):
+            sub = table.get(full ^ (1 << j))
+            if a.terms and sub:
+                mul_add(acc, a.terms if (j + sign) % 2 == 0 else (-a).terms, sub)
+        out.append(BiLaurent(acc, _clean=False))
+    return tuple(out)
 
 
 def minor_signed(m: LaurentMatrix, i: int, j: int) -> BiLaurent:
@@ -231,6 +282,22 @@ def _sylvester(pc, qc, zero):
     return rows
 
 
+#: the last ``p`` of ``resultant_y``, held strongly so that identity is a
+#: safe key, with its integer y-coefficients, their common denominator,
+#: their degrees and their values at the samples taken so far: a divisor
+#: track eliminates y against the same phi at every step
+_last_p = [None]
+
+
+def _cleared_p(p: BiLaurent) -> tuple:
+    entry = _last_p[0]
+    if entry is None or entry[0] is not p:
+        ints, den = cleared(_y_poly(p))
+        entry = (p, ints, den, [len(c) - 1 if c else None for c in ints], [])
+        _last_p[0] = entry
+    return entry
+
+
 def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     """Resultant in y of two polynomials with nonnegative y-degrees.
 
@@ -241,28 +308,89 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     permutations that avoid zero entries.  It is sampled at bound + 1
     integer points and divided once by Dp^deg(q) * Dq^deg(p); when no
     permutation avoids the zero entries the resultant is zero.
+
+    Each sample reduces Q modulo P (``_int_resultant``):
+    Syl(P, Q) = c^dq det[r_(dp-1); ...; r_0] / c^(e_0 + ... + e_(dp-1))
+    with c = lead P and c^(e_j) y^j Q = A_j P + r_j, deg r_j < dp.  The
+    division is exact, as the quotient is the integer Syl(P, Q), and it is
+    checked.  Where lead P vanishes, Syl(P, Q) = (-1)^(dp dq) Syl(Q, P) is
+    reduced modulo Q instead, and a sample where both leads vanish is
+    zero.  P's cleared coefficients and their values at the samples are
+    kept for the next call with the same ``p`` object.
     """
-    pc = _y_poly(p)
+    _, pi, dp_den, p_degrees, p_values = _cleared_p(p)
     qc = _y_poly(q)
-    dp, dq = len(pc) - 1, len(qc) - 1
+    dp, dq = len(pi) - 1, len(qc) - 1
     if dp == 0 and dq == 0:
         return UniPoly.one()
     if dq == 0:
         return qc[0] ** dp
     if dp == 0:
-        return pc[0] ** dq
-    pi, dp_den = cleared(pc)
+        return _y_poly(p)[0] ** dq
     qi, dq_den = cleared(qc)
-    degrees = [[len(c) - 1 if c else None for c in f] for f in (pi, qi)]
-    bound = _degree_bound(tuple(map(tuple, _sylvester(*degrees, None))))
+    q_degrees = [len(c) - 1 if c else None for c in qi]
+    bound = _degree_bound(tuple(map(tuple, _sylvester(p_degrees, q_degrees, None))))
     if bound is None:
         return UniPoly()
-    samples = []
-    for s in range(bound + 1):
-        rows = _sylvester([horner(c, s) for c in pi], [horner(c, s) for c in qi], 0)
-        samples.append(_int_det(rows))
+    while len(p_values) <= bound:
+        p_values.append([horner(c, len(p_values)) for c in pi])
+    samples = [_int_resultant(p_values[s], [horner(c, s) for c in qi])
+               for s in range(bound + 1)]
     den = dp_den ** dq * dq_den ** dp
     return UniPoly(Q(c, den) for c in _int_interpolate(samples))
+
+
+def _int_resultant(pv: list, qv: list) -> int:
+    """Syl(P, Q) of integer coefficient lists (lowest degree first, formal
+    degrees len - 1) by reduction modulo P.
+
+    r_0 is the pseudo-remainder of Q by P and r_(j+1) that of y r_j; each
+    step multiplies by c = lead P only when the top term it cancels is
+    nonzero, and e_j counts those steps up to r_j.  Then
+    Syl(P, Q) = c^dq det[r_0 .. r_(dp-1)] / c^(sum e_j): reversing both
+    the row order and the column order of the block leaves its
+    determinant unchanged.
+    """
+    dp, dq = len(pv) - 1, len(qv) - 1
+    if dp == 0:
+        return pv[0] ** dq
+    c = pv[-1]
+    if not c:
+        if not qv[-1]:
+            return 0
+        value = _int_resultant(qv, pv)
+        return -value if dp * dq % 2 else value
+    low = pv[:-1]
+    r = list(qv)
+    e = 0
+    while len(r) > dp:
+        t = r.pop()
+        if t:
+            off = len(r) - dp
+            r = [a * c for a in r]
+            for i, b in enumerate(low):
+                r[off + i] -= t * b
+            e += 1
+    r += [0] * (dp - len(r))
+    rows = [r]
+    total = e
+    for _ in range(dp - 1):
+        t = r[-1]
+        r = [0] + r[:-1]
+        if t:
+            r = [a * c - t * b for a, b in zip(r, low)]
+            e += 1
+        rows.append(r)
+        total += e
+    value = _int_det(rows)
+    k = total - dq
+    if k <= 0:
+        return value * c ** -k
+    quotient, remainder = divmod(value, c ** k)
+    if remainder:
+        raise ArithmeticError("reduced Sylvester determinant is not divisible "
+                              "by the lead power")
+    return quotient
 
 
 @lru_cache(maxsize=256)
@@ -274,7 +402,7 @@ def _degree_bound(degrees: tuple):
     bound is memoised on the pattern.
 
     By Leibniz's expansion the determinant has no higher degree.  The
-    maximum is taken by the column-subset recursion of ``_det_subsets``:
+    maximum is taken by the column-subset recursion of ``_minor_table``:
     the best partial sum over rows 0..k-1 for each set of used columns.
     """
     best = {0: 0}

@@ -72,9 +72,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import corner_minor, divisor_of, divisor_poly, fiber_point, rel_eval, track_divisor
+from .divisor import (_genus_gcd, divisor_poly, fiber_point, minor_resultant, rel_eval,
+                      track_divisor)
 from .errors import NumericFailureError, PdTodaError, SingularCurveError
-from .lax import SpectralData, char_poly, spectral_data, transfer_matrix
+from .lax import SpectralData, char_matrix, char_poly, spectral_data, transfer_matrix
+from .lmatrix import corner_minors
 from .toda import TodaState, evolve, index_shift, require_valid
 from .unipoly import UniPoly, horner
 
@@ -344,11 +346,13 @@ def divisor_point(state: TodaState, curve: SpectralData | None = None) -> tuple:
         raise PdTodaError("divisor points need an N=2, M=1 state and curve")
     X = transfer_matrix(state)
     sd = curve or char_poly(X, 2, 1)
-    x0 = divisor_of(X, sd, state.t).x_sum()
-    d_nn = corner_minor(X, 2, 2)
-    d_1n = corner_minor(X, 1, 2)
+    # one table gives both corner minors, for U and for the fiber point
+    d_nn, d_1n = corner_minors(char_matrix(X))
+    phi = sd.phi_cleared
+    ups = _genus_gcd(minor_resultant(phi, d_nn), minor_resultant(phi, d_1n), sd.g, "X")
+    x0 = -ups.coeff(0)  # g = 1, so U = x - x0
     xf = float(x0)
-    best = fiber_point(sd.phi_cleared, xf, d_nn, d_1n)
+    best = fiber_point(phi, xf, d_nn, d_1n)
     if rel_eval(d_nn, xf, best) > 1e-7 or rel_eval(d_1n, xf, best) > 1e-7:
         raise NumericFailureError("could not locate the divisor point on the curve")
     return x0, best

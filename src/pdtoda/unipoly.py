@@ -409,16 +409,21 @@ def horner(coeffs: Sequence, z):
     return acc
 
 
-def root_residual(p: UniPoly, z: complex) -> float:
-    """Backward error of z as a root of p: |p(z)| / sum_k |c_k| |z|^k.
+def root_residual(p: UniPoly, roots) -> list:
+    """Backward error of each z in ``roots`` as a root of p:
+    |p(z)| / sum_k |c_k| |z|^k.
 
     This is the smallest relative perturbation of the coefficients that
     makes z an exact root, and unlike |p(z)| / max|c_k| it does not grow
-    with the size of z.
+    with the size of z.  The coefficients are converted to floats once.
     """
-    value = horner([complex(c) for c in p.coeffs], z)
-    magnitude = horner([abs(float(c)) for c in p.coeffs], abs(z))
-    return abs(value) / magnitude if magnitude else 0.0
+    pc = [complex(c) for c in p.coeffs]
+    mags = [abs(float(c)) for c in p.coeffs]
+    out = []
+    for z in roots:
+        magnitude = horner(mags, abs(z))
+        out.append(abs(horner(pc, z)) / magnitude if magnitude else 0.0)
+    return out
 
 
 def roots_numeric(p: UniPoly):
@@ -458,8 +463,7 @@ def roots_numeric(p: UniPoly):
                 break
         polished.append(z)
 
-    for z in polished:
-        residual = root_residual(p, z)
+    for residual in root_residual(p, polished):
         if not residual <= ROOT_RESIDUAL_BOUND:  # NaN from overflow fails too
             raise NumericFailureError(
                 f"root residual {residual:.3e} exceeds {ROOT_RESIDUAL_BOUND:.1e}"

@@ -158,8 +158,13 @@ def test_spectrum_is_pinned(nm, tmp_path, capsys):
 
 
 #: sha256 of ``divisor --steps 10`` on ``random-state --nm N,M --seed 1``,
-#: recorded with U from Brown's multimodular gcd
+#: recorded with U from Brown's multimodular gcd; (3,1), (2,2) and (3,3)
+#: add M = 1 and M >= N, whose resultant degree patterns differ, recorded
+#: with every resultant sample a full Sylvester determinant
 PINNED_DIVISOR = {
+    "3,1": "b6fca7bcfd027ae88a8056521a90f69d7b5d77a0bcb6b6d58aead87124e33b34",
+    "2,2": "dde82562e23309f6a44fab71f3d992f7e25c652eb66a0a156721b32373376439",
+    "3,3": "c525bedf3e61cf0c0798bd982b3723b97d373b65411597700a1b701b5ed3b262",
     "4,2": "a7bc313ea66130d1c302985b5e4ffb605824522203f2cbcc2d2442c8c1a2b019",
     "5,2": "27601a16a1153c171a1cbb94d82bdfb4cbb47160266ce67c27651363c85a06fb",
     "4,3": "c656f5818d1a432dc73035243ea68f9a0c420e2c1c40ba80efc97309f8addb51",
@@ -371,3 +376,28 @@ def test_module_invocation():
     r = subprocess.run([sys.executable, "-m", "pdtoda", "verify", "--suite", "core", "--seed", "2"],
                        capture_output=True, text=True)
     assert r.returncode == 0
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path):
+    from pdtoda import cli
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for seed in ("1", "2"):
+        argv = ["random-state", "--nm", "2,1", "--seed", seed, "--output", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+    assert built == [1]
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch, tmp_path):
+    # the parser is built before the patch and still dispatches to it
+    from pdtoda import cli
+
+    assert main(["random-state", "--nm", "2,1", "--seed", "1", "--output",
+                 str(tmp_path / "s.json")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_divisor", lambda args: seen.append(args.steps) or 7)
+    assert main(["divisor", "--input", str(tmp_path / "s.json"), "--steps", "3"]) == 7
+    assert seen == [3]

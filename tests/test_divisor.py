@@ -8,7 +8,6 @@ from pdtoda import cli, divisor, lax, lmatrix
 from pdtoda.divisor import (
     VARIANTS,
     common_zero_support_check,
-    corner_minor,
     corner_resultants,
     divisor_poly,
     divisor_report,
@@ -19,8 +18,14 @@ from pdtoda.divisor import (
     zeros_factorization_check,
 )
 from pdtoda.errors import PdTodaError
-from pdtoda.lax import band_params_of_matrix, char_poly, spectral_data, transfer_matrix
-from pdtoda.lmatrix import antitranspose
+from pdtoda.lax import (
+    band_params_of_matrix,
+    char_matrix,
+    char_poly,
+    spectral_data,
+    transfer_matrix,
+)
+from pdtoda.lmatrix import antitranspose, minor_signed
 from pdtoda.theta import COMMON_ZERO_TOL
 from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json
 from pdtoda.unipoly import UniPoly, gcd_monic, horner, roots_numeric
@@ -104,7 +109,7 @@ def test_corner_resultant_roots_are_common_zeros():
     sd = spectral_data(s)
     X = transfer_matrix(s)
     R, _ = corner_resultants(X, sd)
-    minor = corner_minor(X, 3, 3)
+    minor = minor_signed(char_matrix(X), 3, 3)
     phi = sd.phi_cleared
     import numpy as np
 
@@ -184,10 +189,11 @@ def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
 
 def test_zeros_factorizations_take_each_corner_minor_once(monkeypatch):
     # the four corner minors of X serve its four resultants and the
-    # double-minor identity; each other operator takes two for its U
-    calls = _call_counter(monkeypatch, [(divisor, "minor_signed")])
+    # double-minor identity; each other operator takes its two for U from
+    # one shared table
+    calls = _call_counter(monkeypatch, [(divisor, "minor_signed"), (divisor, "corner_minors")])
     zeros_factorization_check(random_state(4, 2, random.Random(86)))
-    assert calls == {"minor_signed": 12}
+    assert calls == {"minor_signed": 4, "corner_minors": 4}
 
 
 def test_double_minor_identity_is_part_of_report():
@@ -278,7 +284,7 @@ def test_exact_core_matches_oracles_on_grown_heights(N, M):
     X = transfer_matrix(s)
     phi = spectral_data(s).phi_cleared
     for i, j in ((N, N), (1, N)):
-        cleared = corner_minor(X, i, j).mul_y(1)
+        cleared = minor_signed(char_matrix(X), i, j).mul_y(1)
         assert resultant_y(phi, cleared) == resultant_y_direct(phi, cleared)
     R, S = corner_resultants(X, spectral_data(s))
     U = gcd_monic(R, S)
@@ -301,6 +307,17 @@ def test_track_divisor_builds_the_curve_once(monkeypatch):
     track = track_divisor(_grown_state(4, 2, 95), 10)
     assert len(track) == 11 and all(dp.degree == 4 for dp in track)
     assert calls == {"char_poly": 1, "divisor_poly": 11}
+
+
+def test_track_divisor_clears_phi_once(monkeypatch):
+    # every step eliminates y against the same phi object, so its integer
+    # y-coefficients are cleared once for the 22 corner resultants
+    cleared = []
+    original = lmatrix.cleared
+    monkeypatch.setattr(lmatrix, "cleared", lambda polys: cleared.append(polys) or original(polys))
+    track = track_divisor(_grown_state(4, 2, 95), 10)
+    phi_coeffs = lmatrix._y_poly(track[0].curve.phi_cleared)
+    assert len(cleared) == 23 and sum(polys == phi_coeffs for polys in cleared) == 1
 
 
 def test_track_divisor_builds_one_x_per_step(monkeypatch, tmp_path):
@@ -383,7 +400,7 @@ def test_corner_resultants_take_2g_plus_1_samples(N, M, monkeypatch):
     X = transfer_matrix(s)
     sd = spectral_data(s)
     for i, j in ((N, N), (1, N)):
-        minor = corner_minor(X, i, j).mul_y(1)
+        minor = minor_signed(char_matrix(X), i, j).mul_y(1)
         calls = _call_counter(monkeypatch, [(lmatrix, "_int_det")])
         res = lmatrix.resultant_y(sd.phi_cleared, minor)
         monkeypatch.undo()

@@ -11,6 +11,7 @@ from pdtoda.lax import char_matrix, transfer_matrix
 from pdtoda.lmatrix import (
     LaurentMatrix,
     antitranspose,
+    corner_minors,
     det,
     det_cofactor,
     minor_signed,
@@ -273,6 +274,52 @@ def test_assignment_bound_is_below_row_and_column_sums(monkeypatch):
     monkeypatch.setattr(lmatrix, "_int_det", lambda a: calls.append(a) or int_det(a))
     assert resultant_y(p, q) == resultant_y_direct(p, q) == UniPoly([-1])
     assert len(calls) == 1
+
+
+_int_coeffs = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7)
+
+
+@given(_int_coeffs, _int_coeffs, st.sampled_from(["none", "p", "q", "both"]))
+@settings(max_examples=400, deadline=None)
+def test_reduced_sample_matches_sylvester_determinant(pv, qv, zero_lead):
+    # formal degrees 0-6 with the lead of P, of Q or of both forced to 0:
+    # the lead swap and the zero first column are exercised
+    if len(pv) + len(qv) == 2:
+        pv = pv + [1]  # the 0 x 0 Sylvester matrix has no Bareiss value
+    if zero_lead in ("p", "both"):
+        pv = pv[:-1] + [0]
+    if zero_lead in ("q", "both"):
+        qv = qv[:-1] + [0]
+    assert lmatrix._int_resultant(pv, qv) == lmatrix._int_det(lmatrix._sylvester(pv, qv, 0))
+
+
+def test_reduced_sample_division_is_checked(monkeypatch):
+    # a wrong reduced determinant is caught by the exact division
+    monkeypatch.setattr(lmatrix, "_int_det", lambda rows: 1)
+    with pytest.raises(ArithmeticError):
+        lmatrix._int_resultant([1, 1, 2], [1, 1, 1])
+
+
+def test_resultant_clears_a_repeated_p_once(monkeypatch):
+    # the same p object in consecutive calls is cleared to integers once
+    rng = random.Random(23)
+    p = _poly_in_y([UniPoly([rng.randint(-5, 5) for _ in range(3)]) for _ in range(3)]
+                   + [UniPoly([Q(1, 7)])])
+    qs = [_poly_in_y([UniPoly([Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)])
+                      for _ in range(3)]) for _ in range(3)]
+    calls = []
+    cleared = lmatrix.cleared
+    monkeypatch.setattr(lmatrix, "cleared", lambda polys: calls.append(polys) or cleared(polys))
+    results = [resultant_y(p, q) for q in qs]
+    assert len(calls) == 1 + len(qs)
+    assert results == [resultant_y_direct(p, q) for q in qs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_corner_minors_match_signed_minors(n):
+    rng = random.Random(40 + n)
+    m = LaurentMatrix([[rand_entry(rng) for _ in range(n)] for _ in range(n)])
+    assert corner_minors(m) == (minor_signed(m, n, n), minor_signed(m, 1, n))
 
 
 @pytest.mark.parametrize("dp, dq", [(0, 0), (0, 2), (2, 0), (1, 1), (3, 2)])

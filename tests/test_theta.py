@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from pdtoda import divisor, lax, theta, toda
+from pdtoda import divisor, lax, lmatrix, theta, toda
 from pdtoda.errors import NumericFailureError, PdTodaError, SingularCurveError
 from pdtoda.lax import spectral_data
 from pdtoda.rationals import Q
@@ -295,6 +295,32 @@ def test_divisor_point_builds_x_once(monkeypatch):
     assert calls == {"transfer_matrix": 1}
     monkeypatch.undo()
     assert point == divisor_point(s)
+
+
+def test_divisor_point_takes_each_corner_minor_once(monkeypatch):
+    # D_NN and D_1N come from one table over one X - xE and serve both U
+    # and the fiber point
+    s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
+    curve = elliptic_model(s).curve
+    calls = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((lmatrix, "minor_signed"), (lmatrix, "corner_minors"),
+                         (lax, "char_matrix")):
+        wrapped = spy(name, getattr(module, name))
+        for owner in (module, divisor, theta):
+            monkeypatch.setattr(owner, name, wrapped, raising=False)
+    x0, y0 = divisor_point(s, curve)
+    assert calls == {"char_matrix": 1, "corner_minors": 1}
+    monkeypatch.undo()
+    cm = lax.char_matrix(lax.transfer_matrix(s))
+    for i in (2, 1):
+        assert divisor.rel_eval(lmatrix.minor_signed(cm, i, 2), float(x0), y0) < 1e-7
 
 
 def _corpus():

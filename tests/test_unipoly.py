@@ -310,9 +310,8 @@ def test_prime_table_is_not_built_at_import():
 def test_root_residual_accepts_large_accurate_roots():
     roots = [2149, -250, 4]
     p = UniPoly.from_roots(roots)
-    assert all(root_residual(p, complex(r)) <= 1e-8 for r in roots)
-    for r in roots:
-        assert root_residual(p, complex(r * (1 + 1e-6))) > 1e-8
+    assert all(res <= 1e-8 for res in root_residual(p, [complex(r) for r in roots]))
+    assert all(res > 1e-8 for res in root_residual(p, [complex(r * (1 + 1e-6)) for r in roots]))
 
 
 def test_roots_numeric_no_false_alarm_on_mixed_root_sizes():

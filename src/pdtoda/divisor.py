@@ -215,8 +215,11 @@ def zeros_factorization_check(state: TodaState) -> dict:
 
 
 def rel_eval(p: BiLaurent, x0: complex, y0: complex) -> float:
-    """|p(x0, y0)| divided by the sum of term magnitudes: the natural
-    relative residual for 'vanishes at this point' screens."""
+    """|p(x0, y0)| divided by 1 + the sum of term magnitudes: the residual
+    for 'vanishes at this point' screens, relative when the terms are large.
+    The 1 keeps the quotient defined when p has no terms, and makes it an
+    absolute residual when every term is small, where a plain ratio would
+    turn the rounding noise of tiny terms into a residual of order 1."""
     num = 0j
     mag = 1.0
     for (i, j), c in p.sorted_items():

@@ -24,7 +24,7 @@ never decides it; the caller compares them.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .errors import PdTodaError
 from .lax import band_params, r_matrix
@@ -35,8 +35,6 @@ from .toda import TodaState, index_shift
 #: SE shifts every lattice index by one site.
 SW = "SW"
 SE = "SE"
-
-ArrowSeq = Tuple[str, ...]
 
 
 def u_row(state: TodaState, k: int) -> tuple:
@@ -90,7 +88,8 @@ def u_row_matrix_oracle(state: TodaState, k: int) -> tuple:
 def arrow_eval(state: TodaState, seq: Sequence[str]):
     """Evaluate an arrow sequence on a state.
 
-    The empty sequence is 1; peeling from the right,
+    The empty sequence is 1; peeling from the right, with the shift taken
+    as a site offset (as in :func:`u_row`),
 
         eval(prefix + [SW], s) = I_1^(len prefix)(s) * eval(prefix, s),
         eval(prefix + [SE], s) = eval(prefix, shift(s)).
@@ -100,16 +99,13 @@ def arrow_eval(state: TodaState, seq: Sequence[str]):
         raise PdTodaError("arrow sequence longer than the number of layers")
     if any(a not in (SW, SE) for a in seq):
         raise PdTodaError(f"unknown arrow in {seq!r}")
-    return _arrow_eval(state, seq)
-
-
-def _arrow_eval(state: TodaState, seq: ArrowSeq):
-    if not seq:
-        return ONE
-    head, last = seq[:-1], seq[-1]
-    if last == SW:
-        return state.i(1, len(head)) * _arrow_eval(state, head)
-    return _arrow_eval(index_shift(state, 1), head)
+    value, site = ONE, 1
+    for layer in range(len(seq) - 1, -1, -1):
+        if seq[layer] == SW:
+            value = state.i(site, layer) * value
+        else:
+            site += 1
+    return value
 
 
 def arrow_sum(state: TodaState, k: int, j: int):

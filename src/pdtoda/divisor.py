@@ -14,9 +14,9 @@ antitransposed (X* = J X^T J): "X" is X, "Xstar" is X*, "shift" is
 sigma^-1 X, "shiftstar" is (sigma^-1 X)* and "shiftup" is sigma X.
 ``operators`` builds one X per index shift and antitransposes it for the
 starred name, and ``divisor_of`` takes U of any of them on the shared
-curve.  The ``DivisorPoly`` it returns carries that curve, so
-``track_divisor`` builds it once and hands it from step to step.  The
-four corner resultants of X factor into pairs of these divisor
+curve.  That curve is ``lax.curve_of`` of the state, which ``evolve`` and
+``index_shift`` hand on, so ``track_divisor`` builds it once, at t = 0.
+The four corner resultants of X factor into pairs of these divisor
 polynomials (up to a nonzero scalar):
 
     res(phi, y*D_NN)  ~  U_X       * U_((sigma^-1 X)*),
@@ -40,13 +40,13 @@ screen, and never decides it; the caller compares them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bilaurent import BiLaurent
 from .errors import NonGenericDataError, PdTodaError
-from .lax import SpectralData, char_matrix, char_poly, transfer_matrix
+from .lax import SpectralData, char_matrix, curve_of, transfer_matrix
 from .lmatrix import LaurentMatrix, antitranspose, corner_minors, det, minor_signed, resultant_y
 from .rationals import q_str
 from .toda import TodaState, evolve, index_shift, require_valid
@@ -134,11 +134,10 @@ def _genus_gcd(R: UniPoly, S: UniPoly, g: int, variant: str) -> UniPoly:
 @dataclass(frozen=True)
 class DivisorPoly:
     """Monic degree-g polynomial whose roots are the x-coordinates of the
-    finite divisor of one operator variant, with the curve it was taken on."""
+    finite divisor of one operator variant."""
 
     poly: UniPoly
     t: int
-    curve: SpectralData = field(compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -153,28 +152,21 @@ class DivisorPoly:
         return -self.poly.coeff(g - 1)
 
 
-def divisor_poly(state: TodaState, variant: str = "X", *,
-                 curve: SpectralData | None = None) -> DivisorPoly:
+def divisor_poly(state: TodaState, variant: str = "X") -> DivisorPoly:
     """U = gcd_monic(R, S) for the chosen operator; monic of degree g.
 
-    ``curve`` is the state's spectral data when the caller already has it:
-    phi is conserved by the flow, so one curve serves a whole trajectory.
-    Without it the curve is built from the operator itself, whose phi
-    equals that of X for every variant.
+    The curve is ``curve_of(state, op)``: the phi of every operator
+    equals that of X.
     """
     require_valid(state)
-    if curve is not None and (curve.N, curve.M) != (state.N, state.M):
-        raise PdTodaError(f"curve of shape ({curve.N},{curve.M}) given for "
-                          f"a ({state.N},{state.M}) state")
     op = operators(state, (variant,))[variant]
-    return divisor_of(op, curve or char_poly(op, state.N, state.M), state.t, variant)
+    return divisor_of(op, curve_of(state, op), state.t, variant)
 
 
 def divisor_of(X: LaurentMatrix, sd: SpectralData, t: int, variant: str = "X") -> DivisorPoly:
     """U of the operator X on the curve of ``sd``."""
-    if sd.g == 0:
-        return DivisorPoly(poly=UniPoly.one(), t=t, curve=sd)
-    return DivisorPoly(poly=_genus_gcd(*corner_resultants(X, sd), sd.g, variant), t=t, curve=sd)
+    poly = UniPoly.one() if sd.g == 0 else _genus_gcd(*corner_resultants(X, sd), sd.g, variant)
+    return DivisorPoly(poly=poly, t=t)
 
 
 def zeros_factorization_check(state: TodaState) -> dict:
@@ -189,7 +181,7 @@ def zeros_factorization_check(state: TodaState) -> dict:
     require_valid(state)
     ops = operators(state, OPERATORS)
     X = ops["X"]
-    sd = char_poly(X, state.N, state.M)
+    sd = curve_of(state, X)
     N = sd.N
     pairs = {
         (N, N): ("X", "shiftstar"),
@@ -255,7 +247,7 @@ def common_zero_support_check(state: TodaState) -> float:
     is NaN), 0.0 at g = 0."""
     require_valid(state)
     X = transfer_matrix(state)
-    sd = char_poly(X, state.N, state.M)
+    sd = curve_of(state, X)
     if sd.g == 0:
         return 0.0
     N = sd.N
@@ -269,22 +261,19 @@ def common_zero_support_check(state: TodaState) -> float:
     return float(np.max([rel_eval(m, x0, y0) for x0, y0 in points for m in minors]))
 
 
-def track_divisor(state: TodaState, steps: int, curve: SpectralData | None = None) -> list:
+def track_divisor(state: TodaState, steps: int) -> list:
     """U_t for t = 0..steps along the exact trajectory.
 
-    phi is conserved by the flow, so one curve serves every step's
-    ``divisor_poly``: ``curve`` when the caller has it, else the curve that
-    the t = 0 step builds from its own X.  Each U carries the curve it was
-    taken on, and the next step reuses it, so every entry's ``curve`` is
-    the same object.  Each step still validates its state and builds its
-    own X_t for the corner minors.  Isospectrality has its own exact check
-    in ``verify``.
+    ``evolve`` hands the state's curve on, so every step takes U on the
+    curve of the t = 0 state.  Each step still validates its state and
+    builds its own X_t for the corner minors.  Isospectrality has its own
+    exact check in ``verify``.
     """
     out = []
     s = state
     for k in range(steps + 1):
         try:
-            out.append(divisor_poly(s, "X", curve=out[-1].curve if out else curve))
+            out.append(divisor_poly(s, "X"))
         except NonGenericDataError as exc:
             raise NonGenericDataError(f"at step {k}: {exc}") from exc
         if k < steps:

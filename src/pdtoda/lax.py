@@ -151,8 +151,19 @@ def char_poly(X: LaurentMatrix, N: int, M: int) -> SpectralData:
 
 
 def spectral_data(state: TodaState) -> SpectralData:
+    """The curve from the state's own X; never reads the ``_curve`` slot."""
     require_valid(state)
     return char_poly(transfer_matrix(state), state.N, state.M)
+
+
+def curve_of(state: TodaState, X: LaurentMatrix | None = None) -> SpectralData:
+    """The curve of the state's class: its ``_curve`` slot, else ``char_poly``
+    of X (the state's X by default, or any operator with its phi), stored there."""
+    sd = state._curve
+    if sd is None:
+        sd = char_poly(transfer_matrix(state) if X is None else X, state.N, state.M)
+        object.__setattr__(state, "_curve", sd)
+    return sd
 
 
 def check_degree_profile(sd: SpectralData):
@@ -310,9 +321,9 @@ def bloch_basis(state: TodaState, upto: int, params: BandParams | None = None) -
     for j in range(1, M + 2):
         comp = [UniPoly.one() if n == j else UniPoly() for n in range(1, M + 2)]
         for n in range(2, upto - M + 1):
-            new = x * comp[n - 1] - params.b(n - 1) * comp[n - 2]
+            new = x * comp[n - 1] - comp[n - 2] * params.b(n - 1)
             for k in range(1, M + 1):
-                new = new - params.a(k, n + k - 1) * comp[n + k - 2]
+                new = new - comp[n + k - 2] * params.a(k, n + k - 1)
             comp.append(new)
         vectors.append(tuple(comp))
     return tuple(vectors)

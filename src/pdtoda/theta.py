@@ -75,7 +75,7 @@ import numpy as np
 from .divisor import (_genus_gcd, divisor_poly, fiber_point, minor_resultant, rel_eval,
                       track_divisor)
 from .errors import NumericFailureError, PdTodaError, SingularCurveError
-from .lax import SpectralData, char_matrix, char_poly, spectral_data, transfer_matrix
+from .lax import char_matrix, curve_of, transfer_matrix
 from .lmatrix import corner_minors
 from .toda import TodaState, evolve, index_shift, require_valid
 from .unipoly import UniPoly, horner
@@ -193,7 +193,6 @@ class EllipticModel:
     """Curve data, periods and the Abel map for one N=2, M=1 state."""
 
     prods: tuple             # conserved products (prod V, prod I), from validation
-    curve: SpectralData      # the state's spectral data, shared by its orbit
     q: UniPoly
     c: object
     f: UniPoly
@@ -295,7 +294,7 @@ def elliptic_model(state: TodaState) -> EllipticModel:
     prods = require_valid(state)
     if state.N != 2 or state.M != 1:
         raise PdTodaError("elliptic model requires N=2, M=1")
-    sd = spectral_data(state)
+    sd = curve_of(state)
     a0 = sd.A[0]
     if a0.degree != 0 or a0.coeffs[0] != -1:
         raise PdTodaError("unexpected leading y-coefficient")
@@ -326,7 +325,7 @@ def elliptic_model(state: TodaState) -> EllipticModel:
         tau = -tau
     if tau.imag <= 0:
         raise NumericFailureError("failed to orient the period lattice")
-    return EllipticModel(prods=prods, curve=sd, q=q, c=c, f=f, branch=es,
+    return EllipticModel(prods=prods, q=q, c=c, f=f, branch=es,
                          a_period=a_per, b_period=b_per, tau=tau)
 
 
@@ -335,17 +334,15 @@ def elliptic_model(state: TodaState) -> EllipticModel:
 # ---------------------------------------------------------------------------
 
 
-def divisor_point(state: TodaState, curve: SpectralData | None = None) -> tuple:
+def divisor_point(state: TodaState) -> tuple:
     """The finite divisor point (x, y) of an N=2, M=1 state, located by the
     corner minors of one X: x is the root of the divisor polynomial and y
-    the fiber root killing both D_NN and D_1N.  ``curve`` is the spectral
-    data of any state on the same isospectral orbit (phi is conserved by
-    evolve and by index_shift); without it the curve is built from X."""
+    the fiber root killing both D_NN and D_1N, on ``curve_of(state, X)``."""
     require_valid(state)
-    if (state.N, state.M) != (2, 1) or (curve is not None and (curve.N, curve.M) != (2, 1)):
-        raise PdTodaError("divisor points need an N=2, M=1 state and curve")
+    if (state.N, state.M) != (2, 1):
+        raise PdTodaError("divisor points need an N=2, M=1 state")
     X = transfer_matrix(state)
-    sd = curve or char_poly(X, 2, 1)
+    sd = curve_of(state, X)
     # one table gives both corner minors, for U and for the fiber point
     d_nn, d_1n = corner_minors(char_matrix(X))
     phi = sd.phi_cleared
@@ -402,13 +399,13 @@ def theta_context(state: TodaState) -> ThetaContext:
     w_V = model.w_from_y(0.0, complex(prods[0]))
     abel_AV = model.abel_finite(0.0, w_V)
 
-    x0, y0 = divisor_point(state, model.curve)
+    x0, y0 = divisor_point(state)
     w0 = model.w_from_y(float(x0), y0)
     abel_D0 = model.abel_finite(float(x0), w0)
 
     # measure the per-step Abel increment from the exact divisor track
     s1 = evolve(state)
-    x1, y1 = divisor_point(s1, model.curve)
+    x1, y1 = divisor_point(s1)
     w1 = model.w_from_y(float(x1), y1)
     abel_D1 = model.abel_finite(float(x1), w1)
     measured = abel_D1 - abel_D0
@@ -470,7 +467,7 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     torsion = model.lattice_distance(2 * ctx.k_vec)
     x_div = model.lattice_distance(ctx.abel_A1 + ctx.abel_AV)
 
-    track = track_divisor(state, steps, curve=model.curve)
+    track = track_divisor(state, steps)
     entries = []
     max_err = 0.0
     skipped = 0
@@ -495,7 +492,7 @@ def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:
     for t, dp in enumerate(track):
         add_entry(0, t, complex(float(dp.x_sum())))
     shifted = index_shift(state, 1)
-    add_entry(1, 0, complex(float(divisor_poly(shifted, "X", curve=model.curve).x_sum())))
+    add_entry(1, 0, complex(float(divisor_poly(shifted, "X").x_sum())))
 
     return {
         "tau": [model.tau.real, model.tau.imag],

@@ -62,9 +62,15 @@ grow, and a trajectory computes them from the entries only once:
   pI_0).  The closure certifies the ratio pV / pI_0 the step used; the
   products themselves come from one computation from the entries, at the
   first validation of the trajectory.
+* :func:`index_shift` hands the slot on: a cyclic relabel keeps every product.
 * :func:`conserved_products` always computes from the entries and never
   reads the slot, so checks that compare it along a trajectory stay
   independent recomputations.
+
+The spectral curve, once per isospectral class.  :func:`evolve` and
+:func:`index_shift` conserve phi = det(X - xE) and hand on the private
+``_curve`` slot that ``lax.curve_of`` fills.  ``lax.spectral_data`` and
+``lax.char_poly`` never read it, so conservation checks recompute phi.
 """
 
 from __future__ import annotations
@@ -98,6 +104,8 @@ class TodaState:
     #: the conserved products, once :func:`validate` computed them or
     #: :func:`evolve` proved them (module docstring)
     _products: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: the curve of the isospectral class, once ``lax.curve_of`` built it
+    _curve: "SpectralData | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1 or self.M < 1:
@@ -214,6 +222,7 @@ def evolve(state: TodaState) -> TodaState:
         t=state.t + 1,
     )
     object.__setattr__(nxt, "_products", (pv,) + products[2:] + (pi,))
+    object.__setattr__(nxt, "_curve", state._curve)
     return nxt
 
 
@@ -251,16 +260,14 @@ def evolve_float_oracle(state: TodaState):
 
 def index_shift(state: TodaState, step: int = 1) -> TodaState:
     """Cyclic relabeling of every lattice row: site n takes the old value
-    of site n+step (so step=+1 is the shift V_n -> V_{n+1})."""
-    N = state.N
-    k = step % N
-    return TodaState(
-        N=N,
-        M=state.M,
-        V=state.V[k:] + state.V[:k],
-        I=tuple(row[k:] + row[:k] for row in state.I),
-        t=state.t,
-    )
+    of site n+step (so step=+1 is the shift V_n -> V_{n+1}).  The products
+    and phi are unchanged, so both slots are handed on."""
+    k = step % state.N
+    out = TodaState(N=state.N, M=state.M, V=state.V[k:] + state.V[:k],
+                    I=tuple(row[k:] + row[:k] for row in state.I), t=state.t)
+    object.__setattr__(out, "_products", state._products)
+    object.__setattr__(out, "_curve", state._curve)
+    return out
 
 
 # ---------------------------------------------------------------------------

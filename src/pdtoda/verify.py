@@ -265,9 +265,9 @@ def _bloch(rng, ck):
         x = UniPoly.x()
         for vec in basis:
             for n in range(2, upto - s.M + 1):
-                rhs = x * vec[n - 1] - params.b(n - 1) * vec[n - 2]
+                rhs = x * vec[n - 1] - vec[n - 2] * params.b(n - 1)
                 for k in range(1, s.M + 1):
-                    rhs = rhs - params.a(k, n + k - 1) * vec[n + k - 2]
+                    rhs = rhs - vec[n + k - 2] * params.a(k, n + k - 1)
                 ck.eq(f"Bloch recurrence at n={n}", s, vec[n + s.M - 1], rhs)
         # windows at a shifted offset stay independent at random rational x
         x0 = Q(rng.randint(1, 40), rng.randint(1, 7))

@@ -18,7 +18,7 @@ from pdtoda.arrows import (
 from pdtoda.errors import PdTodaError
 from pdtoda.lax import band_params
 from pdtoda.rationals import ONE
-from pdtoda.toda import TodaState, random_state
+from pdtoda.toda import TodaState, index_shift, random_state
 
 
 def test_u_row_level_one():
@@ -64,6 +64,25 @@ def test_arrow_eval_base_cases():
     assert arrow_eval(s, [SW, SW]) == s.i(1) * s.i(1, 1)
     assert arrow_eval(s, [SW, SE]) == s.i(2)
     assert arrow_eval(s, [SE, SW]) == s.i(1, 1)
+
+
+def _arrow_eval_recursive(state, seq):
+    """The defining recursion, peeling from the right:
+    eval(prefix + [SW], s) = I_1^(len prefix)(s) * eval(prefix, s) and
+    eval(prefix + [SE], s) = eval(prefix, shift(s))."""
+    if not seq:
+        return ONE
+    head, last = seq[:-1], seq[-1]
+    if last == SW:
+        return state.i(1, len(head)) * _arrow_eval_recursive(state, head)
+    return _arrow_eval_recursive(index_shift(state, 1), head)
+
+
+def test_arrow_eval_matches_the_recursive_definition_exhaustively():
+    s = random_state(7, 6, random.Random(58))
+    for k in range(7):
+        for seq in iproduct((SW, SE), repeat=k):
+            assert arrow_eval(s, seq) == _arrow_eval_recursive(s, seq), seq
 
 
 def test_arrow_eval_rejects_long_or_bad_sequences():

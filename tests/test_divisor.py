@@ -22,6 +22,7 @@ from pdtoda.lax import (
     band_params_of_matrix,
     char_matrix,
     char_poly,
+    curve_of,
     spectral_data,
     transfer_matrix,
 )
@@ -180,7 +181,7 @@ def _call_counter(monkeypatch, targets):
 def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
     # one phi serves all five operators; only X, sigma^-1 X and sigma X
     # need a transfer matrix
-    calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (divisor, "transfer_matrix")])
+    calls = _call_counter(monkeypatch, [(lax, "char_poly"), (divisor, "transfer_matrix")])
     res = zeros_factorization_check(random_state(N, M, random.Random(86)))
     for label, (lhs, rhs) in res.items():
         assert lhs == rhs, (label, lhs, rhs)
@@ -301,9 +302,8 @@ def _grown_state(N, M, seed, steps=0):
 
 def test_track_divisor_builds_the_curve_once(monkeypatch):
     # phi is conserved, so a track of 11 steps needs one char_poly; every
-    # step's U still comes from divisor_poly, given that curve
-    calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (lax, "char_poly"),
-                                        (divisor, "divisor_poly")])
+    # step's U still comes from divisor_poly, on the curve evolve hands on
+    calls = _call_counter(monkeypatch, [(lax, "char_poly"), (divisor, "divisor_poly")])
     track = track_divisor(_grown_state(4, 2, 95), 10)
     assert len(track) == 11 and all(dp.degree == 4 for dp in track)
     assert calls == {"char_poly": 1, "divisor_poly": 11}
@@ -315,8 +315,9 @@ def test_track_divisor_clears_phi_once(monkeypatch):
     cleared = []
     original = lmatrix.cleared
     monkeypatch.setattr(lmatrix, "cleared", lambda polys: cleared.append(polys) or original(polys))
-    track = track_divisor(_grown_state(4, 2, 95), 10)
-    phi_coeffs = lmatrix._y_poly(track[0].curve.phi_cleared)
+    s = _grown_state(4, 2, 95)
+    track_divisor(s, 10)
+    phi_coeffs = lmatrix._y_poly(curve_of(s).phi_cleared)
     assert len(cleared) == 23 and sum(polys == phi_coeffs for polys in cleared) == 1
 
 
@@ -336,25 +337,28 @@ def test_track_divisor_builds_one_x_per_step(monkeypatch, tmp_path):
     assert calls == {"transfer_matrix": 11}
 
 
-def test_track_divisor_passes_one_curve_along():
+def test_track_divisor_passes_one_curve_along(monkeypatch):
+    # every state of the track carries the curve the t = 0 step built
     s = _grown_state(4, 2, 95)
-    track = track_divisor(s, 3)
-    assert all(dp.curve is track[0].curve for dp in track)
-    assert track[0].curve.phi == spectral_data(s).phi
-    sd = spectral_data(s)
-    assert all(dp.curve is sd for dp in track_divisor(s, 3, curve=sd))
-
-
-def test_divisor_poly_refuses_a_curve_of_another_shape():
+    states = []
+    original = divisor.divisor_poly
+    monkeypatch.setattr(divisor, "divisor_poly",
+                        lambda state, variant="X": states.append(state) or original(state, variant))
+    track_divisor(s, 3)
+    assert len(states) == 4 and all(curve_of(st) is curve_of(s) for st in states)
+    assert curve_of(s).phi == spectral_data(s).phi
+    # a state that already has its curve builds none along its track
     s = _grown_state(4, 2, 95)
-    with pytest.raises(PdTodaError, match="shape"):
-        divisor_poly(s, curve=spectral_data(_grown_state(4, 3, 95)))
+    sd = curve_of(s)
+    calls = _call_counter(monkeypatch, [(lax, "char_poly")])
+    track_divisor(s, 3)
+    assert calls == {} and curve_of(s) is sd
 
 
 def test_divisor_command_builds_the_curve_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(state_to_json(_grown_state(4, 2, 95)), encoding="utf-8")
-    calls = _call_counter(monkeypatch, [(divisor, "char_poly"), (lax, "char_poly")])
+    calls = _call_counter(monkeypatch, [(lax, "char_poly")])
     assert cli.main(["divisor", "--input", str(path), "--steps", "10"]) == 0
     assert calls == {"char_poly": 1}
     assert json.loads(capsys.readouterr().out)["g"] == 4
@@ -374,15 +378,16 @@ def test_xstar_divisor_reuses_x(monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_divisor_poly_builds_one_x_for_every_variant(variant, monkeypatch):
-    # the operator comes from one X of its index shift, and without a
-    # curve the operator's own phi serves, as it equals the phi of X
+    # the operator comes from one X of its index shift; on a state without
+    # a curve the operator's own phi serves, as it equals the phi of X
     s = _grown_state(4, 2, 95)
-    sd = spectral_data(s)
-    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
-    U = divisor_poly(s, variant, curve=sd).poly
+    curve_of(s)
+    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix"),
+                                        (lax, "char_poly")])
+    U = divisor_poly(s, variant).poly
     assert calls == {"transfer_matrix": 1}
     monkeypatch.undo()
-    assert U == divisor_poly(s, variant).poly
+    assert U == divisor_poly(_grown_state(4, 2, 95), variant).poly
 
 
 @pytest.mark.parametrize("s", [TodaState(N=1, M=1, V=(1,), I=((2,),)),

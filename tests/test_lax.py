@@ -13,6 +13,7 @@ from pdtoda.lax import (
     bloch_basis,
     char_poly,
     check_degree_profile,
+    curve_of,
     det_x_factorization_check,
     genus,
     l_matrix,
@@ -25,7 +26,8 @@ from pdtoda.lax import (
 )
 from pdtoda.lmatrix import LaurentMatrix, det
 from pdtoda.rationals import Q
-from pdtoda.toda import TodaState, evolve, random_state
+from pdtoda import toda
+from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json, validate
 from pdtoda.unipoly import UniPoly
 
 CORPUS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]
@@ -302,3 +304,55 @@ def test_banded_ops_require_m_below_n():
     assert sd.g == genus(2, 3)
     cur = evolve(s)
     assert spectral_data(cur).phi == sd.phi
+
+
+def test_evolve_and_index_shift_hand_the_curve_on():
+    s = random_state(4, 2, random.Random(33))
+    sd = curve_of(s)
+    assert sd.phi == spectral_data(s).phi
+    assert curve_of(s) is sd and curve_of(evolve(s)) is sd
+    for k in (-1, 1, s.N):
+        assert curve_of(index_shift(s, k)) is sd
+
+
+def test_curve_of_builds_from_the_operator_in_hand_once():
+    s = random_state(3, 2, random.Random(34))
+    X = transfer_matrix(s)
+    sd = curve_of(s, X)
+    assert sd.phi == char_poly(X, 3, 2).phi
+    # once set, the slot answers and the operator is not read
+    assert curve_of(s, "not an operator") is sd
+
+
+def test_curve_slot_is_private():
+    s = random_state(4, 2, random.Random(35))
+    fresh = TodaState(N=s.N, M=s.M, V=s.V, I=s.I, t=s.t)
+    curve_of(s)
+    assert s._curve is not None and fresh._curve is None
+    assert s == fresh and hash(s) == hash(fresh)
+    assert repr(s) == repr(fresh) and "_curve" not in repr(s)
+    assert state_to_json(s) == state_to_json(fresh)
+    with pytest.raises(TypeError):
+        TodaState(N=1, M=1, V=(1,), I=((2,),), _curve=None)
+
+
+def test_index_shift_hands_the_validated_products_on(monkeypatch):
+    s = random_state(4, 3, random.Random(36))
+    validate(s)
+    calls = []
+    original = toda.conserved_products
+    monkeypatch.setattr(toda, "conserved_products", lambda st: calls.append(st) or original(st))
+    shifted = index_shift(s, 1)
+    assert validate(shifted).products == original(shifted)
+    assert calls == []
+
+
+def test_spectral_data_ignores_a_planted_curve():
+    rng = random.Random(37)
+    s, other = random_state(3, 2, rng), random_state(3, 2, rng)
+    planted = spectral_data(other)
+    object.__setattr__(s, "_curve", planted)
+    assert curve_of(s) is planted
+    own = spectral_data(s)
+    assert own is not planted and own.phi != planted.phi
+    assert own.phi == char_poly(transfer_matrix(s), 3, 2).phi

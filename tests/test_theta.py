@@ -7,7 +7,6 @@ import pytest
 
 from pdtoda import divisor, lax, lmatrix, theta, toda
 from pdtoda.errors import NumericFailureError, PdTodaError, SingularCurveError
-from pdtoda.lax import spectral_data
 from pdtoda.rationals import Q
 from pdtoda.theta import (
     carlson_rf,
@@ -113,8 +112,6 @@ def test_model_requires_2_1():
         elliptic_model(s)
     with pytest.raises(PdTodaError):
         divisor_point(s)
-    with pytest.raises(PdTodaError):
-        divisor_point(random_state(2, 1, rng), spectral_data(s))
 
 
 def test_divisor_point_matches_closed_form():
@@ -146,8 +143,9 @@ def test_abel_involution_negates():
 
 
 def test_theta_context_reuses_the_validated_products(monkeypatch):
-    # theta_context makes no conserved_products pass beyond those of the
-    # calls it is built from: it reads the products off the model
+    # theta_context makes one conserved_products pass, the model's
+    # validation: evolve and index_shift hand the products on, so every
+    # later state of the class reads them
     calls = []
     original = toda.conserved_products
 
@@ -163,11 +161,13 @@ def test_theta_context_reuses_the_validated_products(monkeypatch):
         fn(*args)
         return len(calls)
 
-    s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
-    curve = elliptic_model(s).curve
-    parts = (passes(elliptic_model, s) + passes(divisor_point, s, curve) + passes(evolve, s)
-             + passes(divisor_point, evolve(s), curve))
-    assert passes(theta_context, s) == parts
+    def fresh():
+        return TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
+
+    assert [passes(fn, fresh()) for fn in (elliptic_model, divisor_point, evolve)] == [1, 1, 1]
+    assert passes(theta_context, fresh()) == 1
+    assert passes(theta_check, fresh()) == 1
+    s = fresh()
     assert elliptic_model(s).prods == original(s)
 
 
@@ -289,19 +289,20 @@ def test_theta_check_takes_each_abel_image_once(monkeypatch):
 def test_divisor_point_builds_x_once(monkeypatch):
     # the divisor polynomial and the corner minors come from the same X
     s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
-    curve = elliptic_model(s).curve
+    elliptic_model(s)
     calls = _build_counter(monkeypatch)
-    point = divisor_point(s, curve)
+    point = divisor_point(s)
     assert calls == {"transfer_matrix": 1}
-    monkeypatch.undo()
-    assert point == divisor_point(s)
+    # a state without a curve takes it from the same X
+    assert divisor_point(TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))) == point
+    assert calls == {"transfer_matrix": 2, "char_poly": 1}
 
 
 def test_divisor_point_takes_each_corner_minor_once(monkeypatch):
     # D_NN and D_1N come from one table over one X - xE and serve both U
     # and the fiber point
     s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
-    curve = elliptic_model(s).curve
+    elliptic_model(s)
     calls = {}
 
     def spy(name, fn):
@@ -315,7 +316,7 @@ def test_divisor_point_takes_each_corner_minor_once(monkeypatch):
         wrapped = spy(name, getattr(module, name))
         for owner in (module, divisor, theta):
             monkeypatch.setattr(owner, name, wrapped, raising=False)
-    x0, y0 = divisor_point(s, curve)
+    x0, y0 = divisor_point(s)
     assert calls == {"char_matrix": 1, "corner_minors": 1}
     monkeypatch.undo()
     cm = lax.char_matrix(lax.transfer_matrix(s))

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
-from pdtoda import arrows, divisor, lax
-from pdtoda.toda import index_shift
-from pdtoda.verify import CHECKS, run_suite
+from pdtoda import arrows, divisor, lax, verify
+from pdtoda.lax import curve_of
+from pdtoda.toda import TodaState, index_shift, random_state
+from pdtoda.verify import CHECKS, Comparer, run_suite
 
 #: checks whose claim is not about one state, so their dump names none
 NO_STATE_WITNESS = {"evolution-float-oracle", "theta-series"}
@@ -65,3 +67,52 @@ def test_nan_residual_fails_common_zero_support(monkeypatch):
     monkeypatch.setattr(divisor, "rel_eval", lambda p, x0, y0: math.nan)
     details = _details(run_suite("divisor", 42), "common-zero-support")
     assert math.isnan(details["residual"])
+
+
+def _run_check(name, seed=42):
+    fn, _ = CHECKS[name]
+    return fn(random.Random(f"{seed}:{name}"), Comparer())
+
+
+def _impostor(state, rng, t):
+    """A valid state of the same shape at time t, off the isospectral class
+    of ``state``, that carries the curve of ``state``'s class."""
+    drawn = random_state(state.N, state.M, rng)
+    out = TodaState(N=drawn.N, M=drawn.M, V=drawn.V, I=drawn.I, t=t)
+    object.__setattr__(out, "_curve", curve_of(state))
+    return out
+
+
+def test_isospectrality_recomputes_phi_past_a_handed_on_curve(monkeypatch):
+    rng = random.Random(41)
+    monkeypatch.setattr(verify, "evolve", lambda state: _impostor(state, rng, state.t + 1))
+    with pytest.raises(verify._Mismatch) as exc:
+        _run_check("isospectrality")
+    assert exc.value.details["label"] == "phi at t=1 = phi at t=0"
+
+
+def test_shift_conjugation_recomputes_phi_past_a_handed_on_curve(monkeypatch):
+    # only the shift whose phi is compared, the one after the sigma^N loop
+    # on the first state, is replaced
+    rng = random.Random(42)
+    calls = []
+
+    def shift(state, step=1):
+        calls.append(step)
+        if len(calls) == state.N + 2:
+            return _impostor(state, rng, state.t)
+        return index_shift(state, step)
+
+    monkeypatch.setattr(verify, "index_shift", shift)
+    with pytest.raises(verify._Mismatch) as exc:
+        _run_check("shift-conjugation")
+    assert exc.value.details["label"] == "phi of sigma s = phi of s"
+
+
+def test_divisor_degree_builds_one_curve_per_state(monkeypatch):
+    # the four variants of each of the four states share the state's curve
+    calls = []
+    original = lax.char_poly
+    monkeypatch.setattr(lax, "char_poly", lambda *args: calls.append(args) or original(*args))
+    _run_check("divisor-degree")
+    assert len(calls) == 4

@@ -79,8 +79,7 @@ def _tolerance(text: str) -> float:
 
 def _emit(payload: dict, output: str | None) -> None:
     """Stream the report as indented JSON and a newline to ``output`` or
-    stdout, chunk by chunk, instead of first building the whole text, and
-    a second copy with the newline appended."""
+    stdout, chunk by chunk, instead of first building the whole text."""
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -18,10 +18,9 @@ class StateValidationError(PdTodaError):
 
 
 class DegenerateEvolutionError(PdTodaError):
-    """The cyclic solve for the next time step failed: a zero pivot, or
-    the periodic closure sigma_N = sigma_0 of ``evolve`` does not hold
-    exactly (the conserved products the step used disagree with the
-    entries)."""
+    """The cyclic solve for the next time step failed: the periodic
+    closure sigma_N = sigma_0 of ``evolve`` does not hold exactly (the
+    conserved products the step used disagree with the entries)."""
 
 
 class NonGenericDataError(PdTodaError):

@@ -79,6 +79,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
+
 from .errors import (
     DegenerateEvolutionError,
     NumericFailureError,
@@ -105,7 +107,7 @@ class TodaState:
     #: :func:`evolve` proved them (module docstring)
     _products: tuple | None = field(default=None, init=False, repr=False, compare=False)
     #: the curve of the isospectral class, once ``lax.curve_of`` built it
-    _curve: "SpectralData | None" = field(default=None, init=False, repr=False, compare=False)
+    _curve: "lax.SpectralData | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1 or self.M < 1:
@@ -359,3 +361,9 @@ def random_state(
         if generic is None or generic(s):
             return s
     raise PdTodaError(f"no generic state found in {RANDOM_STATE_RETRIES} draws for N={N}, M={M}")
+
+
+# Last, because lax imports this module: here the import finds lax (or the
+# part of it that has run) in sys.modules.  It lets typing.get_type_hints
+# resolve the hint of TodaState._curve.
+from . import lax  # noqa: E402

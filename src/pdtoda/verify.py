@@ -11,6 +11,11 @@ state the claim is made about (or None).  The first failed comparison ends
 the check, and the report carries its counterexample dump: the label,
 lhs/rhs or residual/tol, and the witness under ``"state"``.
 
+A claim that ``tests/test_acceptance.py`` also states is one public
+function ``claim(ck, state, ...)`` next to its check: the check loops its
+own corpus over it, and an acceptance criterion loops a larger corpus over
+it with a ``Comparer()``, so a failed criterion raises the same dump.
+
 ``inject_fault=NAME`` corrupts the first comparison of check NAME: an
 exact comparison gets an expected side that equals nothing, a numeric one
 a residual pushed past its tolerance.  So every check must fail under it,
@@ -22,6 +27,7 @@ overrides the tolerance of the two numeric screens that read ``ck.tol``:
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 from itertools import product
@@ -93,11 +99,15 @@ def check(name, *suites):
 
 
 class _Mismatch(Exception):
-    """A failed comparison; ``details`` is its counterexample dump."""
+    """A failed comparison; ``details`` is its counterexample dump, which
+    is also the exception's message, as JSON."""
 
     def __init__(self, details: dict):
         super().__init__(details["label"])
         self.details = details
+
+    def __str__(self):
+        return json.dumps(_jsonable(self.details))
 
 
 class _Nothing:
@@ -167,21 +177,31 @@ def _evolution_closure(rng, ck):
     return {"states": 30}
 
 
+def product_conservation(ck, s, steps):
+    """The product multiset, and prod V alone, along ``steps`` steps;
+    returns the last state."""
+    base = conserved_products(s)
+    cur = s
+    for _ in range(steps):
+        cur = evolve(cur)
+        prods = conserved_products(cur)
+        ck.eq(f"conserved products at t={cur.t}", s, sorted(prods), sorted(base))
+        ck.eq(f"prod V at t={cur.t}", s, prods[0], base[0])
+    return cur
+
+
 @check("product-conservation", "core")
 def _product_conservation(rng, ck):
     for s in _states(rng, [(2, 1), (3, 2), (4, 3), (5, 2)], 2):
-        base = sorted(conserved_products(s))
-        cur = s
-        for _ in range(5):
-            cur = evolve(cur)
-            ck.eq(f"conserved products at t={cur.t}", s, sorted(conserved_products(cur)), base)
+        product_conservation(ck, s, 5)
     return {"states": 8, "steps": 5}
 
 
-@check("evolution-float-oracle", "core")
-def _evolution_float_oracle(rng, ck):
+def evolution_float_oracle(ck, states):
+    """One step of each state against the float fixed-point oracle; returns
+    the largest relative error."""
     worst = 0.0
-    for s in _states(rng, [(n, m) for n in (1, 2, 3, 4, 5) for m in (1, 2)], 2):
+    for s in states:
         nxt = evolve(s)
         fi, fv = evolve_float_oracle(s)
         for a, b in zip(fi, nxt.I[-1]):
@@ -189,7 +209,13 @@ def _evolution_float_oracle(rng, ck):
         for a, b in zip(fv, nxt.V):
             worst = max(worst, abs(a - float(b)) / abs(a))
     ck.le("max relative error of the float step", None, worst, 1e-10)
-    return {"max_rel_err": worst}
+    return worst
+
+
+@check("evolution-float-oracle", "core")
+def _evolution_float_oracle(rng, ck):
+    states = _states(rng, [(n, m) for n in (1, 2, 3, 4, 5) for m in (1, 2)], 2)
+    return {"max_rel_err": evolution_float_oracle(ck, states)}
 
 
 @check("state-roundtrip", "core")
@@ -204,14 +230,18 @@ def _state_roundtrip(rng, ck):
 # ---------------------------------------------------------------------------
 
 
+def isospectrality(ck, s, steps):
+    phi = spectral_data(s).phi
+    cur = s
+    for _ in range(steps):
+        cur = evolve(cur)
+        ck.eq(f"phi at t={cur.t} = phi at t=0", s, spectral_data(cur).phi, phi)
+
+
 @check("isospectrality", "lax")
 def _isospectrality(rng, ck):
     for s in _states(rng, SMALL_CORPUS, 2):
-        sd = spectral_data(s)
-        cur = s
-        for _ in range(3):
-            cur = evolve(cur)
-            ck.eq(f"phi at t={cur.t} = phi at t=0", s, spectral_data(cur).phi, sd.phi)
+        isospectrality(ck, s, 3)
     return {"shapes": list(SMALL_CORPUS), "steps": 3}
 
 
@@ -222,29 +252,42 @@ def _refactorization(rng, ck):
     return {}
 
 
+def detx_factorization(ck, s):
+    ck.eq("det X = y^-1 (y - e prod V) prod_k (prod I_k - e y)", s,
+          *det_x_factorization_check(s))
+
+
 @check("detx-factorization", "lax")
 def _detx(rng, ck):
     for s in _states(rng, [(1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2)], 2):
-        ck.eq("det X = y^-1 (y - e prod V) prod_k (prod I_k - e y)", s,
-              *det_x_factorization_check(s))
+        detx_factorization(ck, s)
     return {}
+
+
+def degree_profile(ck, s):
+    ck.eq("degree-profile violations", s, check_degree_profile(spectral_data(s)), [])
 
 
 @check("degree-profile", "lax")
 def _profile(rng, ck):
     for s in _states(rng, SMALL_CORPUS + ((4, 3), (5, 2)), 2):
-        ck.eq("degree-profile violations", s, check_degree_profile(spectral_data(s)), [])
+        degree_profile(ck, s)
     return {}
+
+
+def genus_newton(ck, s):
+    """Returns the interior point count."""
+    sd = spectral_data(s)
+    interior = newton_interior(sd.phi)
+    ck.eq("Newton polygon interior points = genus formula", s, interior, sd.g)
+    return interior
 
 
 @check("genus-newton", "lax")
 def _genus_newton(rng, ck):
     values = {}
     for (N, M) in SMALL_CORPUS + ((4, 3), (5, 2)):
-        s = random_state(N, M, rng)
-        sd = spectral_data(s)
-        values[f"{N},{M}"] = interior = newton_interior(sd.phi)
-        ck.eq("Newton polygon interior points = genus formula", s, interior, sd.g)
+        values[f"{N},{M}"] = genus_newton(ck, random_state(N, M, rng))
     return {"interior_counts": values}
 
 
@@ -277,11 +320,15 @@ def _bloch(rng, ck):
     return {}
 
 
+def time_step_det(ck, s):
+    ck.eq("det H = (-1)^(M+1) I_1 x", s, *time_step_det_check(s))
+
+
 @check("time-step-det", "lax")
 def _tstep(rng, ck):
     shapes = [(2, 1), (3, 1), (4, 2), (3, 2), (4, 3), (5, 3)]
     for s in _states(rng, shapes, 2):
-        ck.eq("det H = (-1)^(M+1) I_1 x", s, *time_step_det_check(s))
+        time_step_det(ck, s)
     return {"shapes": shapes}
 
 
@@ -290,18 +337,21 @@ def _tstep(rng, ck):
 # ---------------------------------------------------------------------------
 
 
+def u_row_product(ck, s):
+    for k in range(1, s.M + 1):
+        ck.eq(f"u_row(k={k}) = first row of the matrix product", s,
+              u_row(s, k), u_row_matrix_oracle(s, k))
+
+
 @check("u-row-product", "appendix")
 def _u_row_product(rng, ck):
     for s in _states(rng, [(3, 2), (4, 3), (5, 3), (7, 6)], 2):
-        for k in range(1, s.M + 1):
-            ck.eq(f"u_row(k={k}) = first row of the matrix product", s,
-                  u_row(s, k), u_row_matrix_oracle(s, k))
+        u_row_product(ck, s)
     return {}
 
 
-@check("u-row-values", "appendix")
-def _u_row_values(rng, ck):
-    s = random_state(5, 3, rng)
+def u_row_values(ck, s):
+    """The triangle rows k = 1, 2, 3 in closed form, on a state with M = 3."""
     i = s.i
     expect = {
         1: (i(1), 1, 0, 0, 0),
@@ -316,15 +366,27 @@ def _u_row_values(rng, ck):
     }
     for k, row in expect.items():
         ck.eq(f"u_row(k={k}) = closed form", s, tuple(u_row(s, k)), tuple(Q(v) for v in row))
+
+
+@check("u-row-values", "appendix")
+def _u_row_values(rng, ck):
+    u_row_values(ck, random_state(5, 3, rng))
     return {}
+
+
+def arrow_composition_sum(ck, s):
+    """Every arrow sum of level k <= M against u_row, and 0 one past the
+    triangle."""
+    for k in range(1, s.M + 1):
+        row = u_row(s, k)
+        for j in range(1, k + 2):
+            ck.eq(f"arrow_sum(k={k}, j={j}) = u_row(k)[{j - 1}]", s, arrow_sum(s, k, j), row[j - 1])
+        ck.eq(f"arrow_sum(k={k}, j={k + 2}) = 0", s, arrow_sum(s, k, k + 2), 0)
 
 
 @check("arrow-composition-sum", "appendix")
 def _arrow_sum_check(rng, ck):
-    s = random_state(7, 6, rng)
-    for k in range(1, 7):
-        for j in range(1, k + 2):
-            ck.eq(f"arrow_sum(k={k}, j={j}) = u_row(k)[{j - 1}]", s, arrow_sum(s, k, j), u_row(s, k)[j - 1])
+    arrow_composition_sum(ck, random_state(7, 6, rng))
     base = random_state(3, 2, rng)
     ck.eq("{SW} = I_1", base, arrow_eval(base, [SW]), base.i(1))
     ck.eq("{SW, SE} = I_2", base, arrow_eval(base, [SW, SE]), base.i(2))
@@ -332,28 +394,43 @@ def _arrow_sum_check(rng, ck):
     return {"exhaustive_upto": 6}
 
 
+#: every tail of the arrow sequences of length 1..4
+SHORT_TAILS = [tail for k in range(1, 5) for tail in product((SW, SE), repeat=k - 1)]
+
+
+def arrow_prefix_swap(ck, s, tails):
+    for tail in tails:
+        ck.eq(f"prefix swap on tail {list(tail)}", s, *prefix_swap_check(s, tail))
+
+
 @check("arrow-prefix-swap", "appendix")
 def _arrow_swap(rng, ck):
     s = random_state(7, 6, rng)
-    exhaustive = [tail for k in range(1, 5) for tail in product((SW, SE), repeat=k - 1)]
     drawn = [tuple(rng.choice((SW, SE)) for _ in range(rng.randint(1, 6) - 1)) for _ in range(20)]
-    for tail in exhaustive + drawn:
-        ck.eq(f"prefix swap on tail {list(tail)}", s, *prefix_swap_check(s, tail))
+    arrow_prefix_swap(ck, s, SHORT_TAILS + drawn)
     return {"exhaustive_upto": 4}
+
+
+def arrow_row_sums(ck, s):
+    ck.eq("alternating first-row sum", s, *alternating_row_sum_check(s))
+    ck.eq("shifted alternating first-row sum", s, *shifted_alternating_row_sum_check(s))
 
 
 @check("arrow-row-sums", "appendix")
 def _arrow_rows(rng, ck):
     for s in _states(rng, [(2, 1), (4, 2), (4, 3), (5, 3)], 3):
-        ck.eq("alternating first-row sum", s, *alternating_row_sum_check(s))
-        ck.eq("shifted alternating first-row sum", s, *shifted_alternating_row_sum_check(s))
+        arrow_row_sums(ck, s)
     return {}
+
+
+def second_row(ck, s):
+    ck.eq("second row of X in band coefficients", s, *second_row_check(s))
 
 
 @check("second-row", "appendix")
 def _second_row(rng, ck):
     for s in _states(rng, [(3, 1), (4, 2), (5, 3)], 2):
-        ck.eq("second row of X in band coefficients", s, *second_row_check(s))
+        second_row(ck, s)
     return {}
 
 
@@ -414,22 +491,28 @@ def _corner_res(rng, ck):
     return {"degrees": degs}
 
 
+def divisor_degree(ck, s):
+    g = genus(s.N, s.M)
+    for variant in VARIANTS:
+        ck.eq(f"deg U of {variant} = g", s, divisor_poly(s, variant).degree, g)
+
+
 @check("divisor-degree", "divisor")
 def _div_deg(rng, ck):
     for (N, M) in SMALL_CORPUS:
-        s = random_state(N, M, rng)
-        g = genus(N, M)
-        for variant in VARIANTS:
-            ck.eq(f"deg U of {variant} = g", s, divisor_poly(s, variant).degree, g)
+        divisor_degree(ck, random_state(N, M, rng))
     return {}
+
+
+def corner_factorizations(ck, s):
+    for label, sides in zeros_factorization_check(s).items():
+        ck.eq(f"corner-resultant factorization {label}", s, *sides)
 
 
 @check("corner-factorizations", "divisor")
 def _factorizations(rng, ck):
     for (N, M) in SMALL_CORPUS:
-        s = random_state(N, M, rng)
-        for label, sides in zeros_factorization_check(s).items():
-            ck.eq(f"corner-resultant factorization {label}", s, *sides)
+        corner_factorizations(ck, random_state(N, M, rng))
     return {}
 
 
@@ -484,18 +567,25 @@ def _theta_series(rng, ck):
     return {"max_residual": worst}
 
 
+def theta_reproduction(ck, s, steps):
+    """The theta prediction of the divisor along ``steps`` time steps and
+    one site shift; returns the ``theta_check`` report."""
+    tol = ck.tol(1e-6)
+    rep = theta_check(s, steps=steps, tol=tol)
+    ck.le("max_abs_err", s, rep["max_abs_err"], tol)
+    ck.le("torsion_residual", s, rep["torsion_residual"], PRINCIPAL_DIVISOR_TOL)
+    ck.le("x_divisor_residual", s, rep["x_divisor_residual"], PRINCIPAL_DIVISOR_TOL)
+    return rep
+
+
 @check("theta-reproduction", "theta")
 def _theta_repro(rng, ck):
-    tol = ck.tol(1e-6)
     for _ in range(6):
         s = random_state(2, 1, rng)
         try:
-            rep = theta_check(s, steps=6, tol=tol)
+            rep = theta_reproduction(ck, s, 6)
         except (NumericFailureError, SingularCurveError, NonGenericDataError):
             continue
-        ck.le("max_abs_err", s, rep["max_abs_err"], tol)
-        ck.le("torsion_residual", s, rep["torsion_residual"], PRINCIPAL_DIVISOR_TOL)
-        ck.le("x_divisor_residual", s, rep["x_divisor_residual"], PRINCIPAL_DIVISOR_TOL)
         return {
             "state": state_to_json(s),
             "max_abs_err": rep["max_abs_err"],

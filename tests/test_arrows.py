@@ -8,7 +8,6 @@ from pdtoda.arrows import (
     SW,
     alternating_row_sum_check,
     arrow_eval,
-    arrow_sum,
     prefix_swap_check,
     second_row_check,
     shifted_alternating_row_sum_check,
@@ -92,25 +91,6 @@ def test_arrow_eval_rejects_long_or_bad_sequences():
         arrow_eval(s, [SW, SE])
     with pytest.raises(PdTodaError):
         arrow_eval(s, ["NE"])
-
-
-def test_arrow_sum_reproduces_u_row_exhaustively():
-    rng = random.Random(57)
-    s = random_state(7, 6, rng)
-    for k in range(1, 7):
-        row = u_row(s, k)
-        for j in range(1, k + 2):
-            assert arrow_sum(s, k, j) == row[j - 1]
-        assert arrow_sum(s, k, k + 2) == 0
-
-
-def test_prefix_swap_exhaustive_small():
-    rng = random.Random(58)
-    s = random_state(7, 6, rng)
-    for k in range(1, 5):
-        for tail in iproduct((SW, SE), repeat=k - 1):
-            lhs, rhs = prefix_swap_check(s, tail)
-            assert lhs == rhs, tail
 
 
 def test_prefix_swap_random_longer():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdtoda.bilaurent import BiLaurent, newton_interior
+from pdtoda.bilaurent import BiLaurent
 from pdtoda.errors import PdTodaError
 from pdtoda.lax import (
     BandParams,
@@ -143,17 +143,6 @@ def test_char_poly_hand_expansion_n1m1():
     assert sd.A[2] == UniPoly.const(15)
 
 
-def test_isospectrality_over_corpus():
-    rng = random.Random(34)
-    for (N, M) in CORPUS:
-        s = random_state(N, M, rng)
-        sd = spectral_data(s)
-        cur = s
-        for _ in range(3):
-            cur = evolve(cur)
-        assert spectral_data(cur).phi == sd.phi
-
-
 def test_refactorization_identity():
     rng = random.Random(35)
     for (N, M) in CORPUS:
@@ -177,14 +166,6 @@ def test_genus_formula_values():
     assert genus(4, 3) == 6
     assert genus(5, 2) == 6
     assert genus(1, 1) == 0
-
-
-def test_genus_matches_newton_interior():
-    rng = random.Random(37)
-    for (N, M) in CORPUS:
-        sd = spectral_data(random_state(N, M, rng))
-        interior = newton_interior(sd.phi)
-        assert interior == sd.g, (N, M, interior)
 
 
 def test_degree_profile_4_2():

@@ -1,7 +1,9 @@
+import inspect
 import math
 import random
 
 import pytest
+import test_acceptance
 
 from pdtoda import arrows, divisor, lax, verify
 from pdtoda.lax import curve_of
@@ -10,6 +12,23 @@ from pdtoda.verify import CHECKS, Comparer, run_suite
 
 #: checks whose claim is not about one state, so their dump names none
 NO_STATE_WITNESS = {"evolution-float-oracle", "theta-series"}
+
+#: the checks that no acceptance criterion runs, each with the reason
+VERIFY_ONLY = {
+    "evolution-closure": "the step equations entry by entry; criterion 9 scores the step",
+    "state-roundtrip": "JSON serialization, not a claim about the lattice",
+    "refactorization": "the Lax pair behind criterion 1, which states isospectrality itself",
+    "banded-template": "the band layout of X that criteria 3, 5 and 6 read",
+    "bloch-window": "the Bloch recurrence that builds criterion 5's time-step matrix",
+    "antitranspose": "a symmetry of X that criterion 7's starred operators rest on",
+    "shift-conjugation": "a symmetry of X that criterion 7's shifted operators rest on",
+    "display-correspondence-n4m2": "one displayed (4,2) example of the band relabelling",
+    "corner-resultants": "deg R = 2g follows from criterion 7's factorizations into two U of degree g",
+    "divisor-track": "that U moves on a g=1 track; criterion 8 scores such tracks",
+    "common-zero-support": "a float screen with its own --tol override, not an exact claim",
+    "smoothness-probe": "a heuristic smoothness screen with a planted double point",
+    "theta-series": "properties of the theta series that criterion 8 evaluates",
+}
 
 
 def _failed(report):
@@ -30,6 +49,24 @@ def test_inject_fault_fails_exactly_that_check(name):
         assert details["rhs"] == "<injected fault>"
     else:
         assert details["residual"] > details["tol"]
+
+
+def _claims(fn):
+    """The public functions of ``pdtoda.verify`` that ``fn`` names, in its
+    comprehensions too."""
+    code = fn.__code__
+    names = set(code.co_names).union(*(c.co_names for c in code.co_consts if inspect.iscode(c)))
+    return {n for n in names if not n.startswith("_") and inspect.isfunction(getattr(verify, n, None))
+            and getattr(verify, n).__module__ == verify.__name__}
+
+
+def test_every_check_is_run_by_a_criterion_or_is_verify_only():
+    # a check is run by the criteria when each claim it calls is called by one
+    criteria = [fn for name, fn in vars(test_acceptance).items() if name.startswith("test_criterion_")]
+    stated = set().union(*map(_claims, criteria))
+    run = {name for name, (fn, _) in CHECKS.items() if set() < _claims(fn) <= stated}
+    assert sorted(run & VERIFY_ONLY.keys()) == []
+    assert sorted(run | VERIFY_ONLY.keys()) == sorted(CHECKS)
 
 
 def test_tol_reaches_exactly_the_two_numeric_screens():

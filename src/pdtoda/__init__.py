@@ -28,7 +28,6 @@ from .lax import (
     l_matrix,
     r_matrix,
     spectral_data,
-    time_step_det_check,
     time_step_matrix,
     transfer_matrix,
 )

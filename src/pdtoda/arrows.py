@@ -9,16 +9,15 @@ entries obey the corner/shift recurrence
 where ``shift`` bumps every lattice site index by one.  Each entry is also
 a sum over arrow sequences of fixed composition: appending SW multiplies by
 the current corner value, appending SE applies the site shift.  The
-identities implemented here (the prefix-swap rule, the two alternating
+identities of this calculus (the prefix-swap rule, the two alternating
 first-row sums, and the second-row band coefficients) are exactly the
 ingredients that force the one-step transfer determinant identity
-det H = (-1)^(M+1) I_1 x.
+det H = (-1)^(M+1) I_1 x; ``verify`` states them.
 
-Identities are verified on concrete rational states rather than in a free
+They are verified on concrete rational states rather than in a free
 polynomial ring: a nonzero polynomial identity would fail at random
 rational points with probability ~1, and small arrow lengths are checked
-exhaustively as well.  A ``*_check`` returns the two sides of its claim and
-never decides it; the caller compares them.
+exhaustively as well.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import PdTodaError
-from .lax import band_params, r_matrix
+from .lax import r_matrix
 from .rationals import ONE, ZERO
-from .toda import TodaState, index_shift
+from .toda import TodaState
 
 #: arrow symbols: SW multiplies by the corner value of the current layer,
 #: SE shifts every lattice index by one site.
@@ -120,69 +119,3 @@ def arrow_sum(state: TodaState, k: int, j: int):
             seq[p] = SE
         total += arrow_eval(state, seq)
     return total
-
-
-def prefix_swap_check(state: TodaState, tail: Sequence[str]) -> tuple:
-    """Exchange rule for the leading arrow:
-
-        {SW, a_2..a_k} = I_(l+1) * {SE, a_2..a_k},
-
-    where l counts the SE arrows among a_2..a_k.  Returns (lhs, rhs)."""
-    tail = tuple(tail)
-    if len(tail) + 1 > state.M:
-        raise PdTodaError("sequence too long for this state")
-    l = sum(1 for a in tail if a == SE)
-    return arrow_eval(state, (SW,) + tail), state.i(l + 1, 0) * arrow_eval(state, (SE,) + tail)
-
-
-def alternating_row_sum_check(state: TodaState) -> tuple:
-    """u_1^(M) + sum_(j=1..M) (-1)^j u_(j+1)^(M) I_1...I_j = 0 exactly.
-    Returns (the sum, 0)."""
-    if not state.M < state.N:
-        raise PdTodaError("requires M < N")
-    row = u_row(state, state.M)
-    total = row[0]
-    prefix = ONE
-    for j in range(1, state.M + 1):
-        prefix = prefix * state.i(j, 0)
-        term = row[j] * prefix
-        total = total - term if j % 2 else total + term
-    return total, ZERO
-
-
-def shifted_alternating_row_sum_check(state: TodaState) -> tuple:
-    """sum_(j=1..M) (-1)^j shift(u_j^(M)) I_1...I_j = (-1)^M I_1...I_(M+1).
-    Returns (the sum, the product)."""
-    if not state.M < state.N:
-        raise PdTodaError("requires M < N")
-    M = state.M
-    shifted_row = u_row(index_shift(state, 1), M)
-    total = ZERO
-    prefix = ONE
-    for j in range(1, M + 1):
-        prefix = prefix * state.i(j, 0)
-        term = shifted_row[j - 1] * prefix
-        total = total - term if j % 2 else total + term
-    expected = prefix * state.i(M + 1, 0)
-    if M % 2:
-        expected = -expected
-    return total, expected
-
-
-def second_row_check(state: TodaState) -> tuple:
-    """The second row of X in band coefficients:
-
-        beta_1 = V_1 u_1^(M),
-        alpha^(j)_(j+1) = shift(u_j^(M)) + V_1 u_(j+1)^(M),   j = 1..M.
-
-    Returns (beta_1, alpha^(1)_2, ..., alpha^(M)_(M+1)) read off the built X
-    and the same tuple from the closed forms."""
-    if not state.M < state.N:
-        raise PdTodaError("second-row check requires M < N")
-    M, v1 = state.M, state.v(1)
-    params = band_params(state)
-    row = u_row(state, M)
-    shifted_row = u_row(index_shift(state, 1), M)
-    read = (params.b(1),) + tuple(params.a(j, j + 1) for j in range(1, M + 1))
-    closed = (v1 * row[0],) + tuple(shifted_row[j - 1] + v1 * row[j] for j in range(1, M + 1))
-    return read, closed

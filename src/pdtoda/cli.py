@@ -80,7 +80,11 @@ def _tolerance(text: str) -> float:
 def _emit(payload: dict, output: str | None) -> None:
     """Stream the report as indented JSON and a newline to ``output`` or
     stdout, chunk by chunk, instead of first building the whole text."""
-    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+    try:
+        sink = open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise PdTodaError(f"cannot write {output}: {exc}") from exc
+    with sink as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

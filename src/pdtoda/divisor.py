@@ -34,8 +34,9 @@ D_11 D_NN = D_1N D_N1.
 "Up to a scalar" means both sides are compared after stripping x-powers
 and making them monic: the statements are about root multisets.
 
-A ``*_check`` returns the sides of its claim, or the residual of a numeric
-screen, and never decides it; the caller compares them.
+``zeros_factorization_check`` returns the two sides of each of these
+claims and never decides them; ``verify`` compares them and states the
+other structural claims on these objects.
 """
 
 from __future__ import annotations
@@ -238,27 +239,6 @@ def fiber_point(phi: BiLaurent, x0: complex, a: BiLaurent, b: BiLaurent) -> comp
     """The root y of phi(x0, y) where the minors ``a`` and ``b`` are
     smallest together: the divisor point over x0."""
     return min(fiber_roots(phi, x0), key=lambda y: rel_eval(a, x0, y) + rel_eval(b, x0, y))
-
-
-def common_zero_support_check(state: TodaState) -> float:
-    """At each common zero of {D_N1, D_NN} on the curve, every D_Nk
-    (k = 1..N) vanishes as well; numeric screen at the sampled roots.
-    Returns the largest ``rel_eval`` residual of a D_Nk there (NaN if any
-    is NaN), 0.0 at g = 0."""
-    require_valid(state)
-    X = transfer_matrix(state)
-    sd = curve_of(state, X)
-    if sd.g == 0:
-        return 0.0
-    N = sd.N
-    phi = sd.phi_cleared
-    cm = char_matrix(X)
-    minors = [minor_signed(cm, N, k) for k in range(1, N + 1)]
-    common = gcd_monic(minor_resultant(phi, minors[0]), minor_resultant(phi, minors[N - 1]))
-    if common.degree < 1:
-        raise NonGenericDataError("no common zeros found")
-    points = [(x0, fiber_point(phi, x0, minors[0], minors[N - 1])) for x0 in roots_numeric(common)]
-    return float(np.max([rel_eval(m, x0, y0) for x0, y0 in points for m in minors]))
 
 
 def track_divisor(state: TodaState, steps: int) -> list:

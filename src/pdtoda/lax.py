@@ -12,27 +12,25 @@ evolves by conjugation, so its characteristic polynomial
     phi(x, y) = det(X(y) - x E)
               = A_0(x) y^M + A_1(x) y^(M-1) + ... + A_M(x) + A_(M+1)(x)/y
 
-is conserved.  This module builds these objects exactly and implements the
-structural facts as executable checks: the degree/leading-coefficient
-profile of the A_j, the genus count, the banded shape of X for M < N, the
-Bloch vector recurrence, and the (M+1)x(M+1) one-step transfer determinant
-identity det H = (-1)^(M+1) I_1 x.
-
-A ``*_check`` returns the two sides of its claim and never decides it;
-the caller compares them (``verify`` through its comparer).
+is conserved.  This module builds these objects exactly: the factors and
+X, phi with its coefficient layout A_j and genus, the band coefficients
+of X for M < N (read off X and checked against the banded template), the
+Bloch vectors and the (M+1)x(M+1) one-step transfer matrix H.  The
+structural claims about them (the refactorization, det X, the degree
+profile of the A_j, det H = (-1)^(M+1) I_1 x) are stated in ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, gcd
+from math import gcd
 
 from .bilaurent import BiLaurent, mul_add
 from .errors import PdTodaError
 from .lmatrix import LaurentMatrix, det
-from .rationals import ONE, as_q, q_str
-from .toda import TodaState, conserved_products, evolve, require_valid
+from .rationals import ONE, q_str
+from .toda import TodaState, require_valid
 from .unipoly import UniPoly
 
 
@@ -166,55 +164,6 @@ def curve_of(state: TodaState, X: LaurentMatrix | None = None) -> SpectralData:
     return sd
 
 
-def check_degree_profile(sd: SpectralData):
-    """Degree bounds deg A_j <= jN/M with equality exactly at the integer
-    points j = r*M1, where the leading coefficient must be
-    (-1)^(M(N-M)+r) * C(m, r) * x^(r*N1).  Returns a list of violations
-    (empty when the profile is as expected for generic data)."""
-    N, M, m, N1, M1 = sd.N, sd.M, sd.m, sd.N1, sd.M1
-    problems = []
-    for j in range(M + 1):
-        a = sd.A[j]
-        k_j = a.degree
-        if j % M1 == 0:
-            r = j // M1
-            expected_deg = r * N1
-            expected_lead = as_q((-1) ** ((M * (N - M) + r) % 2) * comb(m, r))
-            if k_j != expected_deg:
-                problems.append(f"deg A_{j} = {k_j}, expected {expected_deg}")
-            elif a.lead != expected_lead:
-                problems.append(
-                    f"lead A_{j} = {q_str(a.lead)}, expected {q_str(expected_lead)}"
-                )
-        else:
-            # j*N/M is not an integer here, so the bound must be strict
-            if k_j * M >= j * N:
-                problems.append(f"deg A_{j} = {k_j} not < {j}*{N}/{M}")
-    if sd.A[M + 1].degree > 0:
-        problems.append("A_(M+1) is not constant")
-    return problems
-
-
-def det_x_factorization_check(state: TodaState):
-    """det X(y) = y^-1 (y - e*prodV) * prod_k (prodI_k - e*y) with
-    e = (-1)^N.  (The sign alternates with the parity of N because the
-    corner entries of L and R enter the determinant through an (N-1)-cycle.)
-    Returns (det X, expected)."""
-    eps = -1 if state.N % 2 else 1
-    products = conserved_products(state)
-    expected = BiLaurent.y() - BiLaurent.const(eps * products[0])
-    for pi in products[1:]:
-        expected = expected * (BiLaurent.const(pi) - BiLaurent.term(eps, 0, 1))
-    return det(transfer_matrix(state)), expected.mul_y(-1)
-
-
-def refactorization_check(state: TodaState):
-    """The one-step matrix identity L' R'_(M-1) = R_(0) L, with the primed
-    factors built from the evolved state.  Returns (L' R'_(M-1), R_(0) L)."""
-    nxt = evolve(state)
-    return l_matrix(nxt) @ r_matrix(nxt, state.M - 1), r_matrix(state, 0) @ l_matrix(state)
-
-
 # ---------------------------------------------------------------------------
 # banded form (M < N): band coefficients, Bloch vectors, one-step transfer
 # ---------------------------------------------------------------------------
@@ -343,13 +292,6 @@ def time_step_matrix(state: TodaState) -> LaurentMatrix:
         cells[M][j - 1] = BiLaurent.from_unipoly(basis[j - 1][M + 1])
     cells[M][M] = cells[M][M] + BiLaurent.const(state.i(M + 1))
     return LaurentMatrix(cells)
-
-
-def time_step_det_check(state: TodaState):
-    """det H = (-1)^(M+1) I_1 x, symbolically in x.
-    Returns (det H, expected)."""
-    sign = -1 if state.M % 2 == 0 else 1
-    return det(time_step_matrix(state)), BiLaurent.term(sign * state.i(1), 1, 0)
 
 
 def spectral_report(sd: SpectralData) -> dict:

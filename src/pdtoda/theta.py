@@ -83,8 +83,6 @@ from .unipoly import UniPoly, horner
 _GL_CACHE: dict = {}
 #: bound on the two principal-divisor residuals of theta_check (lattice units)
 PRINCIPAL_DIVISOR_TOL = 1e-8
-#: bound on the residual of divisor.common_zero_support_check
-COMMON_ZERO_TOL = 1e-8
 #: w(x + i0) / sqrt|f(x)| when k branch points lie above x
 _W_PHASE = (-1, -1j, 1, 1j, -1)
 #: theta series tail, relative to the leading term, left out of the sums

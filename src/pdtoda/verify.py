@@ -1,5 +1,15 @@
 """Named verification checks and suite assembly for the CLI.
 
+This module states every structural claim of the package: ``lax``,
+``arrows`` and ``divisor`` build the objects (X, phi, H, u_row, the arrow
+sums, minors, resultants, U) and decide nothing, and each claim about them
+is written once, in the check or claim function below that compares it.
+Three library functions hand over a ready report instead:
+``divisor.zeros_factorization_check`` the sides of the corner
+factorizations, ``theta.theta_check`` the theta residuals (it is also the
+``theta-check`` command's report) and ``divisor.smoothness_probe`` an
+advisory verdict.
+
 Every check draws its own deterministic RNG from (seed, check name), so
 the report for a given seed is byte-stable regardless of execution order.
 
@@ -32,24 +42,17 @@ import math
 import random
 from itertools import product
 
-from .arrows import (
-    SE,
-    SW,
-    alternating_row_sum_check,
-    arrow_eval,
-    arrow_sum,
-    prefix_swap_check,
-    second_row_check,
-    shifted_alternating_row_sum_check,
-    u_row,
-    u_row_matrix_oracle,
-)
+import numpy as np
+
+from .arrows import SE, SW, arrow_eval, arrow_sum, u_row, u_row_matrix_oracle
 from .bilaurent import BiLaurent, newton_interior
 from .divisor import (
     VARIANTS,
-    common_zero_support_check,
     corner_resultants,
     divisor_poly,
+    fiber_point,
+    minor_resultant,
+    rel_eval,
     shift_conjugation_matrix,
     smoothness_probe,
     track_divisor,
@@ -61,17 +64,18 @@ from .lax import (
     band_params_of_matrix,
     banded_template,
     bloch_basis,
+    char_matrix,
     char_poly,
-    check_degree_profile,
-    det_x_factorization_check,
+    curve_of,
     genus,
-    refactorization_check,
+    l_matrix,
+    r_matrix,
     spectral_data,
-    time_step_det_check,
+    time_step_matrix,
     transfer_matrix,
 )
-from .lmatrix import LaurentMatrix, antitranspose, det
-from .rationals import Q, q_str
+from .lmatrix import LaurentMatrix, antitranspose, det, minor_signed
+from .rationals import ONE, ZERO, Q, q_str
 from .toda import (
     TodaState,
     conserved_products,
@@ -83,10 +87,12 @@ from .toda import (
     state_to_json,
     validate,
 )
-from .theta import COMMON_ZERO_TOL, PRINCIPAL_DIVISOR_TOL, riemann_theta, theta_check
-from .unipoly import UniPoly
+from .theta import PRINCIPAL_DIVISOR_TOL, riemann_theta, theta_check
+from .unipoly import UniPoly, gcd_monic, roots_numeric
 
 SMALL_CORPUS = ((2, 1), (3, 1), (3, 2), (4, 2))
+#: bound on the residual of the ``common-zero-support`` screen
+COMMON_ZERO_TOL = 1e-8
 CHECKS = {}
 
 
@@ -247,14 +253,26 @@ def _isospectrality(rng, ck):
 
 @check("refactorization", "lax")
 def _refactorization(rng, ck):
+    """The one-step matrix identity, with the primed factors built from the
+    evolved state."""
     for s in _states(rng, SMALL_CORPUS, 2):
-        ck.eq("L' R'_(M-1) = R_(0) L", s, *refactorization_check(s))
+        nxt = evolve(s)
+        ck.eq("L' R'_(M-1) = R_(0) L", s,
+              l_matrix(nxt) @ r_matrix(nxt, s.M - 1), r_matrix(s, 0) @ l_matrix(s))
     return {}
 
 
 def detx_factorization(ck, s):
+    """det X(y) = y^-1 (y - e prod V) prod_k (prod I_k - e y) with
+    e = (-1)^N: the corner entries of L and R enter the determinant
+    through an (N-1)-cycle."""
+    eps = -1 if s.N % 2 else 1
+    products = conserved_products(s)
+    expected = BiLaurent.y() - BiLaurent.const(eps * products[0])
+    for pi in products[1:]:
+        expected = expected * (BiLaurent.const(pi) - BiLaurent.term(eps, 0, 1))
     ck.eq("det X = y^-1 (y - e prod V) prod_k (prod I_k - e y)", s,
-          *det_x_factorization_check(s))
+          det(transfer_matrix(s)), expected.mul_y(-1))
 
 
 @check("detx-factorization", "lax")
@@ -265,7 +283,27 @@ def _detx(rng, ck):
 
 
 def degree_profile(ck, s):
-    ck.eq("degree-profile violations", s, check_degree_profile(spectral_data(s)), [])
+    """deg A_j <= jN/M, with equality exactly at the integer points
+    j = r M1, where the leading coefficient is (-1)^(M(N-M)+r) C(m, r);
+    A_(M+1) is constant.  The claim is that no violation is found."""
+    sd = spectral_data(s)
+    N, M, M1 = sd.N, sd.M, sd.M1
+    problems = []
+    for j in range(M + 1):
+        a = sd.A[j]
+        if j % M1 == 0:
+            r = j // M1
+            lead = Q((-1) ** ((M * (N - M) + r) % 2) * math.comb(sd.m, r))
+            if a.degree != r * sd.N1:
+                problems.append(f"deg A_{j} = {a.degree}, expected {r * sd.N1}")
+            elif a.lead != lead:
+                problems.append(f"lead A_{j} = {q_str(a.lead)}, expected {q_str(lead)}")
+        elif a.degree * M >= j * N:
+            # j N / M is not an integer here, so the bound is strict
+            problems.append(f"deg A_{j} = {a.degree} not < {j}*{N}/{M}")
+    if sd.A[M + 1].degree > 0:
+        problems.append("A_(M+1) is not constant")
+    ck.eq("degree-profile violations", s, problems, [])
 
 
 @check("degree-profile", "lax")
@@ -321,7 +359,10 @@ def _bloch(rng, ck):
 
 
 def time_step_det(ck, s):
-    ck.eq("det H = (-1)^(M+1) I_1 x", s, *time_step_det_check(s))
+    """The (M+1)-square one-step transfer determinant, symbolically in x."""
+    sign = -1 if s.M % 2 == 0 else 1
+    ck.eq("det H = (-1)^(M+1) I_1 x", s,
+          det(time_step_matrix(s)), BiLaurent.term(sign * s.i(1), 1, 0))
 
 
 @check("time-step-det", "lax")
@@ -399,8 +440,13 @@ SHORT_TAILS = [tail for k in range(1, 5) for tail in product((SW, SE), repeat=k 
 
 
 def arrow_prefix_swap(ck, s, tails):
+    """The exchange rule for the leading arrow,
+    {SW, a_2..a_k} = I_(l+1) {SE, a_2..a_k}, with l the number of SE
+    arrows among a_2..a_k."""
     for tail in tails:
-        ck.eq(f"prefix swap on tail {list(tail)}", s, *prefix_swap_check(s, tail))
+        tail = tuple(tail)
+        ck.eq(f"prefix swap on tail {list(tail)}", s, arrow_eval(s, (SW,) + tail),
+              s.i(tail.count(SE) + 1, 0) * arrow_eval(s, (SE,) + tail))
 
 
 @check("arrow-prefix-swap", "appendix")
@@ -412,8 +458,22 @@ def _arrow_swap(rng, ck):
 
 
 def arrow_row_sums(ck, s):
-    ck.eq("alternating first-row sum", s, *alternating_row_sum_check(s))
-    ck.eq("shifted alternating first-row sum", s, *shifted_alternating_row_sum_check(s))
+    """For M < N, u_1^(M) + sum_(j=1..M) (-1)^j u_(j+1)^(M) I_1...I_j = 0
+    and sum_(j=1..M) (-1)^j shift(u_j^(M)) I_1...I_j = (-1)^M I_1...I_(M+1)."""
+    if not s.M < s.N:
+        raise PdTodaError("requires M < N")
+    row = u_row(s, s.M)
+    shifted_row = u_row(index_shift(s, 1), s.M)
+    total, shifted, prefix = row[0], ZERO, ONE
+    for j in range(1, s.M + 1):
+        prefix = prefix * s.i(j, 0)
+        term = row[j] * prefix
+        total = total - term if j % 2 else total + term
+        term = shifted_row[j - 1] * prefix
+        shifted = shifted - term if j % 2 else shifted + term
+    ck.eq("alternating first-row sum", s, total, ZERO)
+    expected = prefix * s.i(s.M + 1, 0)
+    ck.eq("shifted alternating first-row sum", s, shifted, -expected if s.M % 2 else expected)
 
 
 @check("arrow-row-sums", "appendix")
@@ -424,7 +484,18 @@ def _arrow_rows(rng, ck):
 
 
 def second_row(ck, s):
-    ck.eq("second row of X in band coefficients", s, *second_row_check(s))
+    """For M < N, the second row of X in band coefficients:
+    beta_1 = V_1 u_1^(M) and alpha^(j)_(j+1) = shift(u_j^(M)) + V_1 u_(j+1)^(M),
+    j = 1..M, read off the built X against the closed forms."""
+    if not s.M < s.N:
+        raise PdTodaError("second-row check requires M < N")
+    M, v1 = s.M, s.v(1)
+    params = band_params(s)
+    row = u_row(s, M)
+    shifted_row = u_row(index_shift(s, 1), M)
+    ck.eq("second row of X in band coefficients", s,
+          (params.b(1),) + tuple(params.a(j, j + 1) for j in range(1, M + 1)),
+          (v1 * row[0],) + tuple(shifted_row[j - 1] + v1 * row[j] for j in range(1, M + 1)))
 
 
 @check("second-row", "appendix")
@@ -530,10 +601,23 @@ def _div_track(rng, ck):
 
 @check("common-zero-support", "divisor")
 def _common_zero(rng, ck):
-    for (N, M) in ((2, 1), (3, 1), (3, 2)):
-        s = random_state(N, M, rng)
+    """At each common zero of D_N1 and D_NN on the curve (g >= 1), every
+    D_Nk, k = 1..N, vanishes as well: a numeric screen whose residual is
+    the largest ``rel_eval`` of a D_Nk at the sampled points (NaN if any
+    is NaN)."""
+    for s in _states(rng, ((2, 1), (3, 1), (3, 2)), 1):
+        X = transfer_matrix(s)
+        sd = curve_of(s, X)
+        phi = sd.phi_cleared
+        cm = char_matrix(X)
+        minors = [minor_signed(cm, s.N, k) for k in range(1, s.N + 1)]
+        common = gcd_monic(minor_resultant(phi, minors[0]), minor_resultant(phi, minors[-1]))
+        if common.degree < 1:
+            raise NonGenericDataError("no common zeros found")
+        points = [(x0, fiber_point(phi, x0, minors[0], minors[-1])) for x0 in roots_numeric(common)]
+        residual = float(np.max([rel_eval(m, x0, y0) for x0, y0 in points for m in minors]))
         ck.le("every D_Nk vanishes at the common zeros of D_N1 and D_NN", s,
-              common_zero_support_check(s), ck.tol(COMMON_ZERO_TOL))
+              residual, ck.tol(COMMON_ZERO_TOL))
     return {}
 
 

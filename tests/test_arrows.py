@@ -3,39 +3,19 @@ from itertools import product as iproduct
 
 import pytest
 
-from pdtoda.arrows import (
-    SE,
-    SW,
-    alternating_row_sum_check,
-    arrow_eval,
-    prefix_swap_check,
-    second_row_check,
-    shifted_alternating_row_sum_check,
-    u_row,
-    u_row_matrix_oracle,
-)
+from pdtoda import verify
+from pdtoda.arrows import SE, SW, arrow_eval, u_row, u_row_matrix_oracle
 from pdtoda.errors import PdTodaError
 from pdtoda.lax import band_params
 from pdtoda.rationals import ONE
 from pdtoda.toda import TodaState, index_shift, random_state
+from pdtoda.verify import Comparer
 
 
 def test_u_row_level_one():
     rng = random.Random(51)
     s = random_state(4, 2, rng)
     assert u_row(s, 1) == (s.i(1), ONE, 0, 0)
-
-
-def test_u_row_triangle_values_level_three():
-    rng = random.Random(52)
-    s = random_state(5, 3, rng)
-    i = s.i
-    row = u_row(s, 3)
-    assert row[0] == i(1) * i(1, 1) * i(1, 2)
-    assert row[1] == i(2) * i(2, 1) + i(2) * i(1, 2) + i(1, 1) * i(1, 2)
-    assert row[2] == i(3) + i(2, 1) + i(1, 2)
-    assert row[3] == ONE
-    assert row[4] == 0
 
 
 def test_u_row_matches_matrix_product():
@@ -96,40 +76,25 @@ def test_arrow_eval_rejects_long_or_bad_sequences():
 def test_prefix_swap_random_longer():
     rng = random.Random(59)
     s = random_state(7, 6, rng)
+    tails = []
     for _ in range(30):
         k = rng.randint(1, 6)
-        tail = tuple(rng.choice((SW, SE)) for _ in range(k - 1))
-        lhs, rhs = prefix_swap_check(s, tail)
-        assert lhs == rhs, tail
+        tails.append(tuple(rng.choice((SW, SE)) for _ in range(k - 1)))
+    verify.arrow_prefix_swap(Comparer(), s, tails)
 
 
 @pytest.mark.parametrize("N,M", [(2, 1), (4, 2), (5, 3), (4, 3)])
 def test_alternating_row_sums(N, M):
     rng = random.Random(60 + N + 10 * M)
     for _ in range(5):
-        s = random_state(N, M, rng)
-        total, zero = alternating_row_sum_check(s)
-        assert total == zero, (N, M, total)
-        total, expected = shifted_alternating_row_sum_check(s)
-        assert total == expected, (N, M, total, expected)
-
-
-def test_alternating_sum_two_term_case():
-    # M = 1 collapses to I_1 - I_1 = 0 and -I_2 I_1 = -I_1 I_2
-    rng = random.Random(61)
-    s = random_state(3, 1, rng)
-    total, zero = alternating_row_sum_check(s)
-    assert total == zero, total
-    total, expected = shifted_alternating_row_sum_check(s)
-    assert total == expected, (total, expected)
+        verify.arrow_row_sums(Comparer(), random_state(N, M, rng))
 
 
 @pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])
 def test_second_row_band_coefficients(N, M):
     rng = random.Random(62 + N)
     for _ in range(3):
-        read, closed = second_row_check(random_state(N, M, rng))
-        assert read == closed, (N, M, read, closed)
+        verify.second_row(Comparer(), random_state(N, M, rng))
 
 
 @pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])
@@ -149,7 +114,7 @@ def test_second_row_detects_a_corrupted_i(N, M):
 def test_row_sum_checks_demand_banded_regime():
     rng = random.Random(63)
     s = random_state(2, 2, rng)
-    with pytest.raises(PdTodaError):
-        alternating_row_sum_check(s)
-    with pytest.raises(PdTodaError):
-        second_row_check(s)
+    with pytest.raises(PdTodaError, match="requires M < N"):
+        verify.arrow_row_sums(Comparer(), s)
+    with pytest.raises(PdTodaError, match="requires M < N"):
+        verify.second_row(Comparer(), s)

@@ -295,6 +295,15 @@ def test_exit_code_on_missing_file():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_usage_error(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert main(["random-state", "--nm", "2,1", "--seed", "1", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {target}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_suite_dispatch():
     r = run_cli("verify", "--suite", "appendix", "--seed", "5")
     assert r.returncode == 0
@@ -359,13 +368,12 @@ def test_meaningless_tol_is_usage_error(state_file, command, value):
 
 def test_random_state_batch_passes_degree_profile():
     # 100 seeds at (4,2): every state generic for the spectral profile
-    from pdtoda.lax import check_degree_profile, spectral_data
     from pdtoda.toda import random_state as rstate
+    from pdtoda.verify import Comparer, degree_profile
     import random as _random
 
     for seed in range(100):
-        s = rstate(4, 2, _random.Random(seed))
-        assert check_degree_profile(spectral_data(s)) == []
+        degree_profile(Comparer(), rstate(4, 2, _random.Random(seed)))
 
 
 def test_main_entry_callable():

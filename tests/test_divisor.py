@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from pdtoda import cli, divisor, lax, lmatrix
+from pdtoda import cli, divisor, lax, lmatrix, verify
 from pdtoda.divisor import (
     VARIANTS,
-    common_zero_support_check,
     corner_resultants,
     divisor_poly,
     divisor_report,
@@ -27,7 +26,6 @@ from pdtoda.lax import (
     transfer_matrix,
 )
 from pdtoda.lmatrix import antitranspose, minor_signed
-from pdtoda.theta import COMMON_ZERO_TOL
 from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json
 from pdtoda.unipoly import UniPoly, gcd_monic, horner, roots_numeric
 
@@ -161,38 +159,22 @@ def test_zeros_factorizations(N, M):
         assert lhs == rhs, (label, lhs, rhs)
 
 
-def _call_counter(monkeypatch, targets):
-    """Replace each (module, name) in ``targets`` by a wrapper counting its
-    calls in one shared dict keyed by name."""
-    calls = {}
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for module, name in targets:
-        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-    return calls
-
-
 @pytest.mark.parametrize("N,M", [(2, 1), (4, 2)])
-def test_zeros_factorizations_build_the_curve_once(N, M, monkeypatch):
+def test_zeros_factorizations_build_the_curve_once(N, M, count_calls):
     # one phi serves all five operators; only X, sigma^-1 X and sigma X
     # need a transfer matrix
-    calls = _call_counter(monkeypatch, [(lax, "char_poly"), (divisor, "transfer_matrix")])
+    calls = count_calls([(lax, "char_poly"), (divisor, "transfer_matrix")])
     res = zeros_factorization_check(random_state(N, M, random.Random(86)))
     for label, (lhs, rhs) in res.items():
         assert lhs == rhs, (label, lhs, rhs)
     assert calls == {"char_poly": 1, "transfer_matrix": 3}
 
 
-def test_zeros_factorizations_take_each_corner_minor_once(monkeypatch):
+def test_zeros_factorizations_take_each_corner_minor_once(count_calls):
     # the four corner minors of X serve its four resultants and the
     # double-minor identity; each other operator takes its two for U from
     # one shared table
-    calls = _call_counter(monkeypatch, [(divisor, "minor_signed"), (divisor, "corner_minors")])
+    calls = count_calls([(divisor, "minor_signed"), (divisor, "corner_minors")])
     zeros_factorization_check(random_state(4, 2, random.Random(86)))
     assert calls == {"minor_signed": 4, "corner_minors": 4}
 
@@ -230,24 +212,22 @@ def test_track_divisor_constant_at_genus_zero():
     assert all(dp.degree == 0 for dp in track)
 
 
-def test_common_zero_support():
+def test_common_zero_support(check_on):
     rng = random.Random(83)
-    for (N, M) in [(2, 1), (3, 1), (3, 2)]:
-        residual = common_zero_support_check(random_state(N, M, rng))
-        assert residual <= COMMON_ZERO_TOL, (N, M, residual)
+    check_on("common-zero-support", [random_state(N, M, rng) for (N, M) in [(2, 1), (3, 1), (3, 2)]])
 
 
-def test_common_zero_support_builds_x_once(monkeypatch):
+def test_common_zero_support_builds_x_once(check_on, count_calls):
     # phi comes from the same X whose corner minors are screened
-    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
-    assert common_zero_support_check(random_state(3, 2, random.Random(83))) <= COMMON_ZERO_TOL
+    calls = count_calls([(verify, "transfer_matrix"), (lax, "transfer_matrix")])
+    check_on("common-zero-support", [random_state(3, 2, random.Random(83))])
     assert calls == {"transfer_matrix": 1}
 
 
-def test_common_zero_support_takes_each_minor_once(monkeypatch):
+def test_common_zero_support_takes_each_minor_once(check_on, count_calls):
     # D_N1 and D_NN feed the resultants and the screen alike
-    calls = _call_counter(monkeypatch, [(divisor, "minor_signed")])
-    assert common_zero_support_check(random_state(3, 2, random.Random(83))) <= COMMON_ZERO_TOL
+    calls = count_calls([(verify, "minor_signed")])
+    check_on("common-zero-support", [random_state(3, 2, random.Random(83))])
     assert calls == {"minor_signed": 3}
 
 
@@ -300,10 +280,10 @@ def _grown_state(N, M, seed, steps=0):
     return s
 
 
-def test_track_divisor_builds_the_curve_once(monkeypatch):
+def test_track_divisor_builds_the_curve_once(count_calls):
     # phi is conserved, so a track of 11 steps needs one char_poly; every
     # step's U still comes from divisor_poly, on the curve evolve hands on
-    calls = _call_counter(monkeypatch, [(lax, "char_poly"), (divisor, "divisor_poly")])
+    calls = count_calls([(lax, "char_poly"), (divisor, "divisor_poly")])
     track = track_divisor(_grown_state(4, 2, 95), 10)
     assert len(track) == 11 and all(dp.degree == 4 for dp in track)
     assert calls == {"char_poly": 1, "divisor_poly": 11}
@@ -321,14 +301,14 @@ def test_track_divisor_clears_phi_once(monkeypatch):
     assert len(cleared) == 23 and sum(polys == phi_coeffs for polys in cleared) == 1
 
 
-def test_track_divisor_builds_one_x_per_step(monkeypatch, tmp_path):
+def test_track_divisor_builds_one_x_per_step(tmp_path, count_calls):
     # the t = 0 step takes the curve from the X it builds for its corner
     # minors, so 10 steps build 11 transfer matrices, as a library call and
     # through the divisor command
     s = _grown_state(4, 2, 95)
     path = tmp_path / "state.json"
     path.write_text(state_to_json(s), encoding="utf-8")
-    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
+    calls = count_calls([(divisor, "transfer_matrix"), (lax, "transfer_matrix")])
     track_divisor(s, 10)
     assert calls == {"transfer_matrix": 11}
     calls.clear()
@@ -337,7 +317,7 @@ def test_track_divisor_builds_one_x_per_step(monkeypatch, tmp_path):
     assert calls == {"transfer_matrix": 11}
 
 
-def test_track_divisor_passes_one_curve_along(monkeypatch):
+def test_track_divisor_passes_one_curve_along(monkeypatch, count_calls):
     # every state of the track carries the curve the t = 0 step built
     s = _grown_state(4, 2, 95)
     states = []
@@ -350,24 +330,24 @@ def test_track_divisor_passes_one_curve_along(monkeypatch):
     # a state that already has its curve builds none along its track
     s = _grown_state(4, 2, 95)
     sd = curve_of(s)
-    calls = _call_counter(monkeypatch, [(lax, "char_poly")])
+    calls = count_calls([(lax, "char_poly")])
     track_divisor(s, 3)
     assert calls == {} and curve_of(s) is sd
 
 
-def test_divisor_command_builds_the_curve_once(monkeypatch, tmp_path, capsys):
+def test_divisor_command_builds_the_curve_once(tmp_path, capsys, count_calls):
     path = tmp_path / "state.json"
     path.write_text(state_to_json(_grown_state(4, 2, 95)), encoding="utf-8")
-    calls = _call_counter(monkeypatch, [(lax, "char_poly")])
+    calls = count_calls([(lax, "char_poly")])
     assert cli.main(["divisor", "--input", str(path), "--steps", "10"]) == 0
     assert calls == {"char_poly": 1}
     assert json.loads(capsys.readouterr().out)["g"] == 4
 
 
-def test_xstar_divisor_reuses_x(monkeypatch):
+def test_xstar_divisor_reuses_x(monkeypatch, count_calls):
     # X* = antitranspose(X) comes from the X that phi was built from
     s = _grown_state(4, 2, 95)
-    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix")])
+    calls = count_calls([(divisor, "transfer_matrix")])
     U = divisor_poly(s, "Xstar").poly
     assert calls == {"transfer_matrix": 1}
     monkeypatch.undo()
@@ -377,12 +357,12 @@ def test_xstar_divisor_reuses_x(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_divisor_poly_builds_one_x_for_every_variant(variant, monkeypatch):
+def test_divisor_poly_builds_one_x_for_every_variant(variant, monkeypatch, count_calls):
     # the operator comes from one X of its index shift; on a state without
     # a curve the operator's own phi serves, as it equals the phi of X
     s = _grown_state(4, 2, 95)
     curve_of(s)
-    calls = _call_counter(monkeypatch, [(divisor, "transfer_matrix"), (lax, "transfer_matrix"),
+    calls = count_calls([(divisor, "transfer_matrix"), (lax, "transfer_matrix"),
                                         (lax, "char_poly")])
     U = divisor_poly(s, variant).poly
     assert calls == {"transfer_matrix": 1}
@@ -398,7 +378,7 @@ def test_unknown_variant_is_refused_at_every_genus(s):
 
 
 @pytest.mark.parametrize("N, M", [(5, 2), (4, 3)])
-def test_corner_resultants_take_2g_plus_1_samples(N, M, monkeypatch):
+def test_corner_resultants_take_2g_plus_1_samples(N, M, monkeypatch, count_calls):
     # the assignment bound of these Sylvester matrices is 2g, the true
     # degree, so each resultant evaluates 2g + 1 integer determinants
     s = _grown_state(N, M, 7, steps=10)
@@ -406,7 +386,7 @@ def test_corner_resultants_take_2g_plus_1_samples(N, M, monkeypatch):
     sd = spectral_data(s)
     for i, j in ((N, N), (1, N)):
         minor = minor_signed(char_matrix(X), i, j).mul_y(1)
-        calls = _call_counter(monkeypatch, [(lmatrix, "_int_det")])
+        calls = count_calls([(lmatrix, "_int_det")])
         res = lmatrix.resultant_y(sd.phi_cleared, minor)
         monkeypatch.undo()
         assert calls == {"_int_det": 2 * sd.g + 1} and res.degree == 2 * sd.g

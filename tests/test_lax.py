@@ -12,23 +12,20 @@ from pdtoda.lax import (
     banded_template,
     bloch_basis,
     char_poly,
-    check_degree_profile,
     curve_of,
-    det_x_factorization_check,
     genus,
     l_matrix,
     r_matrix,
-    refactorization_check,
     spectral_data,
-    time_step_det_check,
     time_step_matrix,
     transfer_matrix,
 )
 from pdtoda.lmatrix import LaurentMatrix, det
 from pdtoda.rationals import Q
-from pdtoda import toda
+from pdtoda import toda, verify
 from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json, validate
 from pdtoda.unipoly import UniPoly
+from pdtoda.verify import Comparer
 
 CORPUS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]
 
@@ -51,13 +48,12 @@ def test_r_matrix_display_n2():
     assert R.entry(2, 1) == BiLaurent.y()
 
 
-def test_n1_collapsed_factors():
+def test_n1_collapsed_factors(check_on):
     s = TodaState(N=1, M=1, V=(3,), I=((5,),))
     assert l_matrix(s).entry(1, 1) == BiLaurent.one() + BiLaurent.term(3, 0, -1)
     assert r_matrix(s, 0).entry(1, 1) == BiLaurent.const(5) + BiLaurent.y()
     # consistency: the one-step refactorization identity holds at N=1
-    lhs, rhs = refactorization_check(s)
-    assert lhs == rhs
+    check_on("refactorization", [s])
 
 
 def dense_transfer(s):
@@ -143,20 +139,17 @@ def test_char_poly_hand_expansion_n1m1():
     assert sd.A[2] == UniPoly.const(15)
 
 
-def test_refactorization_identity():
+def test_refactorization_identity(check_on):
     rng = random.Random(35)
-    for (N, M) in CORPUS:
-        s = random_state(N, M, rng)
-        lhs, rhs = refactorization_check(s)
-        assert lhs == rhs, (N, M)
-        assert evolve(s).t == 1
+    states = [random_state(N, M, rng) for (N, M) in CORPUS]
+    check_on("refactorization", states)
+    assert all(evolve(s).t == 1 for s in states)
 
 
 def test_det_x_factorization_even_and_odd_periods():
     rng = random.Random(36)
     for (N, M) in [(1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2)]:
-        lhs, rhs = det_x_factorization_check(random_state(N, M, rng))
-        assert lhs == rhs, (N, M, lhs, rhs)
+        verify.detx_factorization(Comparer(), random_state(N, M, rng))
 
 
 def test_genus_formula_values():
@@ -170,37 +163,42 @@ def test_genus_formula_values():
 
 def test_degree_profile_4_2():
     rng = random.Random(38)
-    sd = spectral_data(random_state(4, 2, rng))
+    s = random_state(4, 2, rng)
+    sd = spectral_data(s)
     # m=2, N1=2, M1=1: degrees 0, 2, 4 and constant tail
     assert [a.degree for a in sd.A] == [0, 2, 4, 0]
     assert sd.A[0].coeffs[0] == 1          # (-1)^(2*2) * C(2,0)
     assert sd.A[1].lead == -2              # (-1)^(4+1) * C(2,1)
     assert sd.A[2].lead == 1               # (-1)^(4+2) * C(2,2)
-    assert check_degree_profile(sd) == []
+    verify.degree_profile(Comparer(), s)
 
 
 def test_degree_profile_3_2_strict_bound():
     rng = random.Random(39)
-    sd = spectral_data(random_state(3, 2, rng))
-    assert sd.A[1].degree == 1  # bound 3/2 is not an integer, so strict
-    assert check_degree_profile(sd) == []
+    s = random_state(3, 2, rng)
+    assert spectral_data(s).A[1].degree == 1  # bound 3/2 is not an integer, so strict
+    verify.degree_profile(Comparer(), s)
 
 
 def test_degree_profile_2_1_sign():
     rng = random.Random(40)
-    sd = spectral_data(random_state(2, 1, rng))
-    assert sd.A[0] == UniPoly.const(-1)  # (-1)^(M(N-M)) = -1
-    assert check_degree_profile(sd) == []
+    s = random_state(2, 1, rng)
+    assert spectral_data(s).A[0] == UniPoly.const(-1)  # (-1)^(M(N-M)) = -1
+    verify.degree_profile(Comparer(), s)
 
 
-def test_degree_profile_detects_corruption():
+def test_degree_profile_detects_corruption(monkeypatch):
     rng = random.Random(41)
-    sd = spectral_data(random_state(4, 2, rng))
+    s = random_state(4, 2, rng)
+    sd = spectral_data(s)
     broken = sd.__class__(
         N=sd.N, M=sd.M, m=sd.m, N1=sd.N1, M1=sd.M1, g=sd.g, phi=sd.phi,
         A=(sd.A[0], sd.A[1] + UniPoly.x(3), sd.A[2], sd.A[3]),
     )
-    assert check_degree_profile(broken)
+    monkeypatch.setattr(verify, "spectral_data", lambda state: broken)
+    with pytest.raises(verify._Mismatch) as exc:
+        verify.degree_profile(Comparer(), s)
+    assert exc.value.details["lhs"] == ["deg A_1 = 3, expected 2"]
 
 
 def test_bloch_window_identity_pattern_and_relation():
@@ -257,8 +255,7 @@ def test_time_step_det_identity(N, M):
     rng = random.Random(45 + N * 10 + M)
     for _ in range(3):
         s = random_state(N, M, rng)
-        lhs, rhs = time_step_det_check(s)
-        assert lhs == rhs, (lhs, rhs)
+        verify.time_step_det(Comparer(), s)
 
 
 def test_single_site_multilayer_spectrum():
@@ -317,15 +314,14 @@ def test_curve_slot_is_private():
         TodaState(N=1, M=1, V=(1,), I=((2,),), _curve=None)
 
 
-def test_index_shift_hands_the_validated_products_on(monkeypatch):
+def test_index_shift_hands_the_validated_products_on(count_calls):
     s = random_state(4, 3, random.Random(36))
     validate(s)
-    calls = []
     original = toda.conserved_products
-    monkeypatch.setattr(toda, "conserved_products", lambda st: calls.append(st) or original(st))
+    calls = count_calls([(toda, "conserved_products")])
     shifted = index_shift(s, 1)
     assert validate(shifted).products == original(shifted)
-    assert calls == []
+    assert calls == {}
 
 
 def test_spectral_data_ignores_a_planted_curve():

@@ -153,8 +153,7 @@ def test_theta_context_reuses_the_validated_products(monkeypatch):
         calls.append(state)
         return original(state)
 
-    for module in (toda, lax):
-        monkeypatch.setattr(module, "conserved_products", spy)
+    monkeypatch.setattr(toda, "conserved_products", spy)
 
     def passes(fn, *args):
         del calls[:]
@@ -247,30 +246,18 @@ def test_theta_check_with_abel_target_near_a_branch_point(seed, draw):
     assert rep["pass"]
 
 
-def _build_counter(monkeypatch):
+def _count_builds(count_calls):
     """Count transfer_matrix and char_poly calls in lax, divisor and theta,
     whichever of them import the name."""
-    calls = {}
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in ("transfer_matrix", "char_poly"):
-        wrapped = spy(name, getattr(lax, name))
-        for module in (lax, divisor, theta):
-            monkeypatch.setattr(module, name, wrapped, raising=False)
-    return calls
+    return count_calls([(lax, "transfer_matrix"), (lax, "char_poly")], also=(divisor, theta))
 
 
-def test_theta_check_builds_the_curve_once(monkeypatch):
+def test_theta_check_builds_the_curve_once(count_calls):
     # phi is conserved by evolve and index_shift, so the model's curve
     # serves both divisor points, the divisor track and the site shift;
     # X is built once by the model, once per divisor point, once per track
     # step (t = 0..10) and once for the shifted state
-    calls = _build_counter(monkeypatch)
+    calls = _count_builds(count_calls)
     theta_check(TodaState(N=2, M=1, V=(1, 1), I=((2, 3),)))
     assert calls == {"char_poly": 1, "transfer_matrix": 1 + 2 + 11 + 1}
 
@@ -286,11 +273,11 @@ def test_theta_check_takes_each_abel_image_once(monkeypatch):
     assert report["pass"] and len(calls) == 4
 
 
-def test_divisor_point_builds_x_once(monkeypatch):
+def test_divisor_point_builds_x_once(count_calls):
     # the divisor polynomial and the corner minors come from the same X
     s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
     elliptic_model(s)
-    calls = _build_counter(monkeypatch)
+    calls = _count_builds(count_calls)
     point = divisor_point(s)
     assert calls == {"transfer_matrix": 1}
     # a state without a curve takes it from the same X
@@ -298,24 +285,13 @@ def test_divisor_point_builds_x_once(monkeypatch):
     assert calls == {"transfer_matrix": 2, "char_poly": 1}
 
 
-def test_divisor_point_takes_each_corner_minor_once(monkeypatch):
+def test_divisor_point_takes_each_corner_minor_once(monkeypatch, count_calls):
     # D_NN and D_1N come from one table over one X - xE and serve both U
     # and the fiber point
     s = TodaState(N=2, M=1, V=(1, 1), I=((2, 3),))
     elliptic_model(s)
-    calls = {}
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for module, name in ((lmatrix, "minor_signed"), (lmatrix, "corner_minors"),
-                         (lax, "char_matrix")):
-        wrapped = spy(name, getattr(module, name))
-        for owner in (module, divisor, theta):
-            monkeypatch.setattr(owner, name, wrapped, raising=False)
+    calls = count_calls([(lmatrix, "minor_signed"), (lmatrix, "corner_minors"), (lax, "char_matrix")],
+                        also=(divisor, theta))
     x0, y0 = divisor_point(s)
     assert calls == {"char_matrix": 1, "corner_minors": 1}
     monkeypatch.undo()

@@ -5,7 +5,7 @@ import random
 import pytest
 import test_acceptance
 
-from pdtoda import arrows, divisor, lax, verify
+from pdtoda import lax, verify
 from pdtoda.lax import curve_of
 from pdtoda.toda import TodaState, index_shift, random_state
 from pdtoda.verify import CHECKS, Comparer, run_suite
@@ -83,7 +83,7 @@ def _details(report, name):
 def test_second_row_failure_dumps_both_sides(monkeypatch):
     # band coefficients read off the X of the shifted state break the claim;
     # the dump carries the two coefficient tuples, not a verdict
-    monkeypatch.setattr(arrows, "band_params",
+    monkeypatch.setattr(verify, "band_params",
                         lambda state, X=None: lax.band_params(index_shift(state, 1)))
     details = _details(run_suite("appendix", 42), "second-row")
     lhs, rhs = details["lhs"], details["rhs"]
@@ -101,7 +101,7 @@ def test_common_zero_support_failure_dumps_residual_and_tol():
 
 
 def test_nan_residual_fails_common_zero_support(monkeypatch):
-    monkeypatch.setattr(divisor, "rel_eval", lambda p, x0, y0: math.nan)
+    monkeypatch.setattr(verify, "rel_eval", lambda p, x0, y0: math.nan)
     details = _details(run_suite("divisor", 42), "common-zero-support")
     assert math.isnan(details["residual"])
 
@@ -146,10 +146,8 @@ def test_shift_conjugation_recomputes_phi_past_a_handed_on_curve(monkeypatch):
     assert exc.value.details["label"] == "phi of sigma s = phi of s"
 
 
-def test_divisor_degree_builds_one_curve_per_state(monkeypatch):
+def test_divisor_degree_builds_one_curve_per_state(count_calls):
     # the four variants of each of the four states share the state's curve
-    calls = []
-    original = lax.char_poly
-    monkeypatch.setattr(lax, "char_poly", lambda *args: calls.append(args) or original(*args))
+    calls = count_calls([(lax, "char_poly")])
     _run_check("divisor-degree")
-    assert len(calls) == 4
+    assert calls == {"char_poly": 4}

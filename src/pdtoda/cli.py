@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 
 from .divisor import divisor_report, track_divisor
@@ -75,6 +76,31 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
+
+
+@contextmanager
+def _claim_output(output: str | None):
+    """Report an unwritable ``output`` before the command does its work.
+
+    Opening the file for append and closing it at once creates a missing
+    file and changes nothing in an existing one; ``_emit`` truncates and
+    writes it only once the report is ready.  So a command that raises
+    leaves an existing file as it was, and a file the claim created is
+    removed."""
+    if not output:
+        yield
+        return
+    created = not os.path.lexists(output)
+    try:
+        open(output, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise PdTodaError(f"cannot write {output}: {exc}") from exc
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(output)
+        raise
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -198,7 +224,8 @@ def main(argv=None) -> int:
     # looked up at call time, so a replaced cmd_* function is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        with _claim_output(args.output):
+            return handler(args)
     except (StateValidationError,) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_INPUT

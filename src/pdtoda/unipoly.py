@@ -13,7 +13,7 @@ bound modulo one word-size prime, and certifies its result exactly in Z[x].
 from __future__ import annotations
 
 from itertools import count
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -417,10 +417,14 @@ def root_residual(p: UniPoly, roots) -> list:
     makes z an exact root, and unlike |p(z)| / max|c_k| it does not grow
     with the size of z.  The coefficients are converted to floats once.
     """
-    pc = [complex(c) for c in p.coeffs]
-    mags = [abs(float(c)) for c in p.coeffs]
+    return _residuals([complex(c) for c in p.coeffs], roots)
+
+
+def _residuals(pc: list, roots) -> list:
+    """``root_residual`` on coefficients already converted to complex."""
+    mags = [abs(c) for c in pc]
     out = []
-    for z in roots:
+    for z in map(complex, roots):
         magnitude = horner(mags, abs(z))
         out.append(abs(horner(pc, z)) / magnitude if magnitude else 0.0)
     return out
@@ -433,10 +437,19 @@ def roots_numeric(p: UniPoly):
     Returns roots sorted lexicographically by (real, imag).  Raises
     :class:`NumericFailureError` when some root's backward error
     (:func:`root_residual`) exceeds ``ROOT_RESIDUAL_BOUND`` after polishing.
+    Each coefficient is converted to a float once, for the companion
+    matrix, the Newton steps and the residuals alike; the derivative's
+    coefficients are multiplied exactly and then converted.  Polynomials
+    are evaluated in Python complex arithmetic, which rounds as numpy's
+    scalar arithmetic does at a fraction of its cost; the Newton step is
+    divided in numpy, whose complex division rounds differently from
+    Python's, so each root keeps numpy's bits and type.
     """
     if p.degree < 1:
         raise PdTodaError("roots_numeric requires degree >= 1")
-    cs = np.array([float(c) for c in p.coeffs], dtype=float)
+    floats = [float(c) for c in p.coeffs]
+    pc = [complex(c) for c in floats]
+    cs = np.array(floats, dtype=float)
     monic = cs / cs[-1]
     n = p.degree
     comp = np.zeros((n, n))
@@ -444,26 +457,26 @@ def roots_numeric(p: UniPoly):
     comp[:, -1] = -monic[:-1]
     roots = np.linalg.eigvals(comp)
 
-    pc = [complex(c) for c in p.coeffs]
-    dpc = [complex(c) for c in p.derivative().coeffs]
+    dpc = [complex(float(k * c)) for k, c in enumerate(p.coeffs) if k]
     polished = []
     for z in roots:
         for _ in range(3):
-            fz = horner(pc, z)
-            dz = horner(dpc, z)
+            w = complex(z)
+            fz = horner(pc, w)
+            dz = horner(dpc, w)
             if dz == 0:
                 break
-            step = fz / dz
-            if not np.isfinite(step.real) or not np.isfinite(step.imag):
+            step = np.complex128(fz) / dz
+            if not (isfinite(step.real) and isfinite(step.imag)):
                 break
             z2 = z - step
-            if abs(horner(pc, z2)) < abs(fz):
+            if abs(horner(pc, complex(z2))) < abs(fz):
                 z = z2
             else:
                 break
         polished.append(z)
 
-    for residual in root_residual(p, polished):
+    for residual in _residuals(pc, polished):
         if not residual <= ROOT_RESIDUAL_BOUND:  # NaN from overflow fails too
             raise NumericFailureError(
                 f"root residual {residual:.3e} exceeds {ROOT_RESIDUAL_BOUND:.1e}"

@@ -91,13 +91,6 @@ def test_alternating_row_sums(N, M):
 
 
 @pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])
-def test_second_row_band_coefficients(N, M):
-    rng = random.Random(62 + N)
-    for _ in range(3):
-        verify.second_row(Comparer(), random_state(N, M, rng))
-
-
-@pytest.mark.parametrize("N,M", [(4, 2), (3, 1), (5, 3)])
 def test_second_row_detects_a_corrupted_i(N, M):
     # beta_1 = V_1 u_1^(M) holds for the state X was built from, and breaks
     # once I_1^(0) is moved

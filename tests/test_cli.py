@@ -160,7 +160,9 @@ def test_spectrum_is_pinned(nm, tmp_path, capsys):
 #: sha256 of ``divisor --steps 10`` on ``random-state --nm N,M --seed 1``,
 #: recorded with U from Brown's multimodular gcd; (3,1), (2,2) and (3,3)
 #: add M = 1 and M >= N, whose resultant degree patterns differ, recorded
-#: with every resultant sample a full Sylvester determinant
+#: with every resultant sample a full Sylvester determinant; (5,4), whose
+#: reduced blocks are 5 x 5 (Bareiss, where smaller blocks take the
+#: division-free expansion), recorded with every block taken by Bareiss
 PINNED_DIVISOR = {
     "3,1": "b6fca7bcfd027ae88a8056521a90f69d7b5d77a0bcb6b6d58aead87124e33b34",
     "2,2": "dde82562e23309f6a44fab71f3d992f7e25c652eb66a0a156721b32373376439",
@@ -168,6 +170,7 @@ PINNED_DIVISOR = {
     "4,2": "a7bc313ea66130d1c302985b5e4ffb605824522203f2cbcc2d2442c8c1a2b019",
     "5,2": "27601a16a1153c171a1cbb94d82bdfb4cbb47160266ce67c27651363c85a06fb",
     "4,3": "c656f5818d1a432dc73035243ea68f9a0c420e2c1c40ba80efc97309f8addb51",
+    "5,4": "7957014e4f30134c8c3a48155ea0a41a83bfaf58f6e88117b5019c1236585ab6",
 }
 
 
@@ -302,6 +305,41 @@ def test_unwritable_output_is_usage_error(where, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: cannot write {target}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_output_is_reported_before_the_work(monkeypatch, tmp_path, capsys):
+    from pdtoda import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: calls.append(a))
+    target = tmp_path / "missing" / "x.json"
+    assert main(["verify", "--suite", "all", "--output", str(target)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_failed_run_leaves_the_output_as_it_was(existing, monkeypatch, tmp_path, capsys):
+    # the output is claimed before the work and written only after it
+    from pdtoda import cli
+    from pdtoda.errors import NonGenericDataError
+
+    state = tmp_path / "state.json"
+    assert main(["random-state", "--nm", "2,1", "--seed", "1", "--output", str(state)]) == 0
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_bytes(b"earlier report\n")
+
+    def fail(state, steps):
+        raise NonGenericDataError("forced")
+
+    monkeypatch.setattr(cli, "track_divisor", fail)
+    assert main(["divisor", "--input", str(state), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "error: forced\n"
+    if existing:
+        assert out.read_bytes() == b"earlier report\n"
+    else:
+        assert not out.exists()
 
 
 def test_verify_suite_dispatch():

@@ -293,6 +293,39 @@ def test_reduced_sample_matches_sylvester_determinant(pv, qv, zero_lead):
     assert lmatrix._int_resultant(pv, qv) == lmatrix._int_det(lmatrix._sylvester(pv, qv, 0))
 
 
+def _det_laplace(a):
+    """Laplace expansion along the first row: the oracle for _int_det."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * _det_laplace([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+@st.composite
+def _int_matrices(draw):
+    n = draw(st.integers(1, 6))
+    bits = draw(st.sampled_from([4, 64, 3000]))
+    entry = st.one_of(st.just(0), st.integers(-2 ** bits, 2 ** bits))
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    zeros = draw(st.sampled_from(["none", "first-pivot", "first-column", "repeated-row"]))
+    if zeros == "first-pivot":
+        a[0][0] = 0
+    elif zeros == "first-column":
+        for row in a:
+            row[0] = 0
+    elif zeros == "repeated-row":
+        a[-1] = a[0][:]
+    return a
+
+
+@given(_int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_int_det_matches_laplace_expansion(a):
+    # n <= 4 takes the division-free expansion and n >= 5 Bareiss, whose
+    # row swap a zero first pivot drives
+    assert lmatrix._int_det(a) == _det_laplace(a)
+
+
 def test_reduced_sample_division_is_checked(monkeypatch):
     # a wrong reduced determinant is caught by the exact division
     monkeypatch.setattr(lmatrix, "_int_det", lambda rows: 1)

@@ -8,10 +8,11 @@ coefficients, so equality is plain dict equality.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, Tuple
 
 from .errors import PdTodaError
-from .rationals import ONE, ZERO, as_q, q_str
+from .rationals import ONE, ZERO, Q, as_q, q_str
 from .unipoly import UniPoly
 
 Exponent = Tuple[int, int]
@@ -210,6 +211,19 @@ class BiLaurent:
             return "BiLaurent(0)"
         parts = [f"({q_str(c)})*x^{i}*y^{j}" for (i, j), c in self.sorted_items()]
         return "BiLaurent(" + " + ".join(parts) + ")"
+
+
+def integral_multiple(p: BiLaurent) -> BiLaurent:
+    """c * p with c the lcm of the coefficient denominators: the least
+    positive multiple of p with integer coefficients, and p itself when its
+    coefficients are integers already.  An elimination whose result is used
+    only up to a nonzero constant can run on it."""
+    # int() because gmpy2's numerator and denominator are mpz
+    den = lcm(*[int(c.denominator) for c in p.terms.values()])
+    if den == 1:
+        return p
+    return BiLaurent({e: Q(int(c.numerator) * (den // int(c.denominator)))
+                      for e, c in p.terms.items()}, _clean=False)
 
 
 def newton_interior(p: BiLaurent) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .bilaurent import BiLaurent, mul_add
+from .bilaurent import BiLaurent, integral_multiple, mul_add
 from .errors import PdTodaError
 from .lmatrix import LaurentMatrix, det
 from .rationals import ONE, q_str
@@ -127,9 +127,17 @@ class SpectralData:
 
     @cached_property
     def phi_cleared(self) -> BiLaurent:
-        """y * phi, an ordinary polynomial in y (degree M+1); one object per
-        curve, so ``resultant_y`` clears it to integers once."""
+        """y * phi, an ordinary polynomial in y (degree M+1), with phi's own
+        rational coefficients: the fiber roots and residuals use it."""
         return self.phi.mul_y(1)
+
+    @cached_property
+    def phi_integral(self) -> BiLaurent:
+        """The least positive integer multiple of y * phi, which the
+        eliminations of y use: their results are wanted only up to a
+        nonzero constant.  One object per curve, so ``resultant_y`` takes
+        its y-coefficients and their samples once per divisor track."""
+        return integral_multiple(self.phi_cleared)
 
 
 def char_poly(X: LaurentMatrix, N: int, M: int) -> SpectralData:

@@ -343,11 +343,11 @@ def divisor_point(state: TodaState) -> tuple:
     sd = curve_of(state, X)
     # one table gives both corner minors, for U and for the fiber point
     d_nn, d_1n = corner_minors(char_matrix(X))
-    phi = sd.phi_cleared
-    ups = _genus_gcd(minor_resultant(phi, d_nn), minor_resultant(phi, d_1n), sd.g, "X")
+    ups = _genus_gcd(minor_resultant(sd.phi_integral, d_nn),
+                     minor_resultant(sd.phi_integral, d_1n), sd.g, "X")
     x0 = -ups.coeff(0)  # g = 1, so U = x - x0
     xf = float(x0)
-    best = fiber_point(phi, xf, d_nn, d_1n)
+    best = fiber_point(sd.phi_cleared, xf, d_nn, d_1n)
     if rel_eval(d_nn, xf, best) > 1e-7 or rel_eval(d_1n, xf, best) > 1e-7:
         raise NumericFailureError("could not locate the divisor point on the curve")
     return x0, best

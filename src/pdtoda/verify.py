@@ -611,7 +611,8 @@ def _common_zero(rng, ck):
         phi = sd.phi_cleared
         cm = char_matrix(X)
         minors = [minor_signed(cm, s.N, k) for k in range(1, s.N + 1)]
-        common = gcd_monic(minor_resultant(phi, minors[0]), minor_resultant(phi, minors[-1]))
+        common = gcd_monic(minor_resultant(sd.phi_integral, minors[0]),
+                           minor_resultant(sd.phi_integral, minors[-1]))
         if common.degree < 1:
             raise NonGenericDataError("no common zeros found")
         points = [(x0, fiber_point(phi, x0, minors[0], minors[-1])) for x0 in roots_numeric(common)]

@@ -162,8 +162,11 @@ def test_spectrum_is_pinned(nm, tmp_path, capsys):
 #: add M = 1 and M >= N, whose resultant degree patterns differ, recorded
 #: with every resultant sample a full Sylvester determinant; (5,4), whose
 #: reduced blocks are 5 x 5 (Bareiss, where smaller blocks take the
-#: division-free expansion), recorded with every block taken by Bareiss
+#: division-free expansion), recorded with every block taken by Bareiss;
+#: (2,1), the genus-1 path, recorded with the corner resultants taken
+#: between rational forms
 PINNED_DIVISOR = {
+    "2,1": "61b726802fc7d95392ae034ce7f60597881621c8c8528eeb72c9690e5a73a9aa",
     "3,1": "b6fca7bcfd027ae88a8056521a90f69d7b5d77a0bcb6b6d58aead87124e33b34",
     "2,2": "dde82562e23309f6a44fab71f3d992f7e25c652eb66a0a156721b32373376439",
     "3,3": "c525bedf3e61cf0c0798bd982b3723b97d373b65411597700a1b701b5ed3b262",

@@ -26,6 +26,7 @@ from pdtoda.lax import (
     transfer_matrix,
 )
 from pdtoda.lmatrix import antitranspose, minor_signed
+from pdtoda.rationals import Q
 from pdtoda.toda import TodaState, evolve, index_shift, random_state, state_to_json
 from pdtoda.unipoly import UniPoly, gcd_monic, horner, roots_numeric
 
@@ -152,13 +153,6 @@ def test_divisor_poly_3_1_degree_two():
     assert dp.poly.lead == 1
 
 
-@pytest.mark.parametrize("N,M", [(2, 1), (3, 1), (3, 2), (4, 2)])
-def test_zeros_factorizations(N, M):
-    rng = random.Random(80 + N * 10 + M)
-    for label, (lhs, rhs) in zeros_factorization_check(random_state(N, M, rng)).items():
-        assert lhs == rhs, (label, lhs, rhs)
-
-
 @pytest.mark.parametrize("N,M", [(2, 1), (4, 2)])
 def test_zeros_factorizations_build_the_curve_once(N, M, count_calls):
     # one phi serves all five operators; only X, sigma^-1 X and sigma X
@@ -273,6 +267,31 @@ def test_exact_core_matches_oracles_on_grown_heights(N, M):
     assert U == divisor_poly(s).poly and U.degree == spectral_data(s).g
 
 
+@pytest.mark.parametrize("N, M", [(4, 2), (5, 2), (4, 3)])
+def test_integer_forms_scale_the_corner_resultants(N, M):
+    # resultant_y is exactly homogeneous, res(a p, b q) = a^deg q b^deg p
+    # res(p, q), so eliminating y between integer multiples of phi and of a
+    # corner minor changes the resultant by a nonzero constant only
+    s = _grown_state(N, M, 7, steps=10)
+    sd = spectral_data(s)
+    phi, phi_int = sd.phi_cleared, sd.phi_integral
+    assert all(c.denominator == 1 for c in phi_int.terms.values())
+    assert phi_int.terms.keys() == phi.terms.keys()
+    ratios = {phi_int.terms[e] / c for e, c in phi.terms.items()}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    rng = random.Random(N * 10 + M)
+
+    def rational():
+        return Q(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
+
+    for minor in lmatrix.corner_minors(char_matrix(transfer_matrix(s))):
+        q = minor.mul_y(max(1, -minor.y_min()))
+        res = lmatrix.resultant_y(phi, q)
+        a, b = rational(), rational()
+        assert lmatrix.resultant_y(phi * a, q * b) == res * (a ** q.y_max() * b ** phi.y_max())
+        assert divisor._normalized(divisor.minor_resultant(phi_int, minor)) == divisor._normalized(res)
+
+
 def _grown_state(N, M, seed, steps=0):
     s = random_state(N, M, random.Random(seed))
     for _ in range(steps):
@@ -290,15 +309,17 @@ def test_track_divisor_builds_the_curve_once(count_calls):
 
 
 def test_track_divisor_clears_phi_once(monkeypatch):
-    # every step eliminates y against the same phi object, so its integer
-    # y-coefficients are cleared once for the 22 corner resultants
+    # every step eliminates y against the same integer form of phi, so its
+    # y-coefficients are cleared once for the 22 corner resultants; every
+    # input of the divisor path is already integral
     cleared = []
     original = lmatrix.cleared
     monkeypatch.setattr(lmatrix, "cleared", lambda polys: cleared.append(polys) or original(polys))
     s = _grown_state(4, 2, 95)
     track_divisor(s, 10)
-    phi_coeffs = lmatrix._y_poly(curve_of(s).phi_cleared)
+    phi_coeffs = lmatrix._y_poly(curve_of(s).phi_integral)
     assert len(cleared) == 23 and sum(polys == phi_coeffs for polys in cleared) == 1
+    assert all(original(polys)[1] == 1 for polys in cleared)
 
 
 def test_track_divisor_builds_one_x_per_step(tmp_path, count_calls):

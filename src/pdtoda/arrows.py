@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .errors import PdTodaError
 from .lax import r_matrix
+from .lmatrix import LaurentMatrix
 from .rationals import ONE, ZERO
 from .toda import TodaState
 
@@ -69,15 +70,23 @@ def u_row(state: TodaState, k: int) -> tuple:
 
 def u_row_matrix_oracle(state: TodaState, k: int) -> tuple:
     """First row of the explicit product R_(k-1)...R_(0) at y-degree zero;
-    the independent oracle for :func:`u_row`."""
+    the independent oracle for :func:`u_row`.
+
+    The row is swept through the factors, e_1^T R_(k-1), then times
+    R_(k-2), ..., then times R_(0): by associativity that is the first row
+    of the product, at O(N^2) per factor instead of a dense O(N^3) matrix
+    product.  It stays independent of :func:`u_row`: it multiplies the
+    factor matrices ``lax.r_matrix`` builds (y corner included) with the
+    general matrix product, and uses neither the corner/shift recurrence
+    nor site shifts.
+    """
     if not 1 <= k <= state.M:
         raise PdTodaError(f"need 1 <= k <= M, got k={k}")
-    prod = r_matrix(state, k - 1)
+    row = LaurentMatrix(r_matrix(state, k - 1).entries[:1])
     for layer in range(k - 2, -1, -1):
-        prod = prod @ r_matrix(state, layer)
+        row = row @ r_matrix(state, layer)
     out = []
-    for j in range(1, state.N + 1):
-        e = prod.entry(1, j)
+    for e in row.entries[0]:
         if e.x_degree() > 0:
             raise PdTodaError("first row of the I-factor product is not scalar")
         out.append(e.coeff(0, 0))

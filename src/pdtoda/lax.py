@@ -29,7 +29,7 @@ from math import gcd
 from .bilaurent import BiLaurent, integral_multiple, mul_add
 from .errors import PdTodaError
 from .lmatrix import LaurentMatrix, det
-from .rationals import ONE, q_str
+from .rationals import ONE, ZERO, q_str
 from .toda import TodaState, require_valid
 from .unipoly import UniPoly
 
@@ -95,11 +95,18 @@ def transfer_matrix(state: TodaState) -> LaurentMatrix:
 
 
 def char_matrix(X: LaurentMatrix) -> LaurentMatrix:
-    """X - xE, with x subtracted on the diagonal."""
-    x = BiLaurent.x()
-    return LaurentMatrix(
-        [[e - x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(X.entries)]
-    )
+    """X - xE, with x subtracted on the diagonal (in a copy of each
+    diagonal entry's terms, which keep their order)."""
+    rows = []
+    for i, row in enumerate(X.entries):
+        terms = dict(row[i].terms)
+        c = terms.get((1, 0), ZERO) - ONE
+        if c:
+            terms[(1, 0)] = c
+        else:
+            del terms[(1, 0)]
+        rows.append(row[:i] + (BiLaurent(terms, _clean=False),) + row[i + 1:])
+    return LaurentMatrix(rows)
 
 
 def genus(N: int, M: int) -> int:

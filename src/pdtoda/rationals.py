@@ -17,7 +17,12 @@ in ``math.gcd`` (Python 3.11.7, x86_64).  ``LeanFraction`` runs
 ``Fraction``'s own reduced-form formulas (one or two gcds of already
 reduced parts; Knuth, TAOCP Vol. 2, 4.5.1) directly when the other operand
 is exactly a ``LeanFraction`` or an ``int``, and builds the result without
-a constructor call.  Any other operand (``bool``, a plain ``Fraction``,
+a constructor call.  Each of ``+ - * /`` and its reflected form does this
+in one method frame, with no helper call.  In a cProfile of the same
+verify pass this module's functions take 20% of self time (420 k calls);
+they took 27% (955 k calls) while the operators called formula and
+constructor helpers and states and polynomials coerced entries that were
+``Q`` already.  Any other operand (``bool``, a plain ``Fraction``,
 ``float``) goes to the inherited ``Fraction`` method, and a rational result
 is rewrapped, so a plain ``Fraction`` does not come back into the package.
 Hashing, ``str``, the conversions to ``float`` and ``int``, pickling and
@@ -54,61 +59,6 @@ def _wrap(value):
     if isinstance(value, Fraction):
         return _q(value._numerator, value._denominator)
     return value
-
-
-# The formulas of ``Fraction._add``, ``_mul`` and ``_div`` on reduced parts
-# (na/da) and (nb/db), with an int passed as (b, 1); a - b is a + (-b).
-
-
-def _add(na, da, nb, db):
-    g = gcd(da, db)
-    if g == 1:
-        return _q(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _q(t, s * db)
-    return _q(t // g2, s * (db // g2))
-
-
-def _sub(na, da, nb, db):
-    return _add(na, da, -nb, db)
-
-
-def _mul(na, da, nb, db):
-    g1 = gcd(na, db)
-    g2 = gcd(nb, da)
-    return _q((na // g1) * (nb // g2), (da // g2) * (db // g1))
-
-
-def _div(na, da, nb, db):
-    if nb == 0:
-        raise ZeroDivisionError(f"Fraction({na}, 0)")
-    if nb < 0:
-        nb, db = -nb, -db
-    return _mul(na, da, db, nb)
-
-
-def _operators(fast, name):
-    """``__name__`` and ``__rname__``: ``fast`` when the other operand is
-    exactly a LeanFraction or an int, ``Fraction``'s method otherwise."""
-    forward, reverse = getattr(Fraction, f"__{name}__"), getattr(Fraction, f"__r{name}__")
-
-    def op(a, b):
-        tb = type(b)
-        if tb is LeanFraction:
-            return fast(a._numerator, a._denominator, b._numerator, b._denominator)
-        if tb is int:
-            return fast(a._numerator, a._denominator, b, 1)
-        return _wrap(forward(a, b))
-
-    def rop(a, b):
-        if type(b) is int:
-            return fast(b, 1, a._numerator, a._denominator)
-        return _wrap(reverse(a, b))
-
-    return op, rop
 
 
 def _comparison(op):
@@ -149,17 +99,159 @@ class LeanFraction(Fraction):
     # defining __eq__ below would otherwise set __hash__ to None
     __hash__ = Fraction.__hash__
 
-    __add__, __radd__ = _operators(_add, "add")
-    __sub__, __rsub__ = _operators(_sub, "sub")
-    __mul__, __rmul__ = _operators(_mul, "mul")
-    __truediv__, __rtruediv__ = _operators(_div, "truediv")
+    # The operators below run the formulas of ``Fraction._add``, ``_mul``
+    # and ``_div`` on the reduced parts (na/da) and (nb/db) in their own
+    # frame, an int b being (b/1); a - b is a + (-b).  Against an int the
+    # formulas lose their trivial gcds: (na + b da)/da is reduced as it
+    # stands, and a product or quotient needs one gcd.  Each result is
+    # built as ``_q`` builds it, without a call.
+
+    def __add__(a, b):
+        na, da = a._numerator, a._denominator
+        tb = type(b)
+        if tb is int:
+            r = _new(LeanFraction)
+            r._numerator = na + b * da
+            r._denominator = da
+            return r
+        if tb is not LeanFraction:
+            return _wrap(Fraction.__add__(a, b))
+        nb, db = b._numerator, b._denominator
+        r = _new(LeanFraction)
+        g = gcd(da, db)
+        if g == 1:
+            r._numerator = na * db + da * nb
+            r._denominator = da * db
+            return r
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            r._numerator = t
+            r._denominator = s * db
+        else:
+            r._numerator = t // g2
+            r._denominator = s * (db // g2)
+        return r
+
+    def __radd__(a, b):
+        if type(b) is int:
+            r = _new(LeanFraction)
+            r._numerator = a._numerator + b * a._denominator
+            r._denominator = a._denominator
+            return r
+        return _wrap(Fraction.__radd__(a, b))
+
+    def __sub__(a, b):
+        na, da = a._numerator, a._denominator
+        tb = type(b)
+        if tb is int:
+            r = _new(LeanFraction)
+            r._numerator = na - b * da
+            r._denominator = da
+            return r
+        if tb is not LeanFraction:
+            return _wrap(Fraction.__sub__(a, b))
+        nb, db = b._numerator, b._denominator
+        r = _new(LeanFraction)
+        g = gcd(da, db)
+        if g == 1:
+            r._numerator = na * db - da * nb
+            r._denominator = da * db
+            return r
+        s = da // g
+        t = na * (db // g) - nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            r._numerator = t
+            r._denominator = s * db
+        else:
+            r._numerator = t // g2
+            r._denominator = s * (db // g2)
+        return r
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            r = _new(LeanFraction)
+            r._numerator = b * a._denominator - a._numerator
+            r._denominator = a._denominator
+            return r
+        return _wrap(Fraction.__rsub__(a, b))
+
+    def __mul__(a, b):
+        na, da = a._numerator, a._denominator
+        tb = type(b)
+        if tb is LeanFraction:
+            nb, db = b._numerator, b._denominator
+            g1 = gcd(na, db)
+            g2 = gcd(nb, da)
+            r = _new(LeanFraction)
+            r._numerator = (na // g1) * (nb // g2)
+            r._denominator = (da // g2) * (db // g1)
+            return r
+        if tb is int:
+            g = gcd(b, da)
+            r = _new(LeanFraction)
+            r._numerator = na * (b // g)
+            r._denominator = da // g
+            return r
+        return _wrap(Fraction.__mul__(a, b))
+
+    def __rmul__(a, b):
+        if type(b) is int:
+            da = a._denominator
+            g = gcd(b, da)
+            r = _new(LeanFraction)
+            r._numerator = a._numerator * (b // g)
+            r._denominator = da // g
+            return r
+        return _wrap(Fraction.__rmul__(a, b))
+
+    def __truediv__(a, b):
+        na, da = a._numerator, a._denominator
+        tb = type(b)
+        if tb is LeanFraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return _wrap(Fraction.__truediv__(a, b))
+        if nb == 0:
+            raise ZeroDivisionError(f"Fraction({na}, 0)")
+        if nb < 0:
+            nb, db = -nb, -db
+        g1 = gcd(na, nb)
+        g2 = gcd(db, da)
+        r = _new(LeanFraction)
+        r._numerator = (na // g1) * (db // g2)
+        r._denominator = (da // g2) * (nb // g1)
+        return r
+
+    def __rtruediv__(a, b):
+        if type(b) is not int:
+            return _wrap(Fraction.__rtruediv__(a, b))
+        na, da = a._numerator, a._denominator
+        if na == 0:
+            raise ZeroDivisionError(f"Fraction({b}, 0)")
+        if na < 0:
+            na, b = -na, -b
+        g = gcd(b, na)
+        r = _new(LeanFraction)
+        r._numerator = (b // g) * da
+        r._denominator = na // g
+        return r
 
     def __pow__(a, b):
         if type(b) is not int:
             return _wrap(Fraction.__pow__(a, b))
         if b >= 0:
             return _q(a._numerator ** b, a._denominator ** b)
-        return _div(1, 1, a._numerator ** -b, a._denominator ** -b)
+        na = a._numerator
+        if na == 0:
+            raise ZeroDivisionError("Fraction(1, 0)")
+        if na < 0:
+            return _q((-a._denominator) ** -b, (-na) ** -b)
+        return _q(a._denominator ** -b, na ** -b)
 
     def __neg__(a):
         return _q(-a._numerator, a._denominator)

@@ -112,8 +112,11 @@ class TodaState:
     def __post_init__(self):
         if self.N < 1 or self.M < 1:
             raise PdTodaError("N and M must be >= 1")
-        object.__setattr__(self, "V", tuple(as_q(v) for v in self.V))
-        object.__setattr__(self, "I", tuple(tuple(as_q(x) for x in row) for row in self.I))
+        # entries that are Q already (every state the package builds) stay
+        # the same objects; anything else is coerced
+        object.__setattr__(self, "V", tuple(v if type(v) is Q else as_q(v) for v in self.V))
+        object.__setattr__(self, "I", tuple(
+            tuple(x if type(x) is Q else as_q(x) for x in row) for row in self.I))
         if len(self.V) != self.N:
             raise PdTodaError(f"V has length {len(self.V)}, expected N={self.N}")
         if len(self.I) != self.M or any(len(row) != self.N for row in self.I):
@@ -296,6 +299,8 @@ def _json_q(value) -> Q:
 
 def state_from_dict(data: dict) -> TodaState:
     try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         N, M, t = data["N"], data["M"], data.get("t", 0)
         for key, value in (("N", N), ("M", M), ("t", t)):
             if not isinstance(value, int) or isinstance(value, bool):

@@ -28,7 +28,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_q(c) for c in coeffs]
+        cs = [c if type(c) is Q else as_q(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -98,16 +98,18 @@ class UniPoly:
     def __add__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             other = UniPoly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return UniPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             other = UniPoly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(k) - other.coeff(k) for k in range(n))
+        a, b = self.coeffs, other.coeffs
+        return UniPoly([x - y for x, y in zip(a, b)] + list(a[len(b):]) + [-y for y in b[len(a):]])
 
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):

@@ -286,6 +286,16 @@ def test_exit_code_on_malformed_rows(tmp_path, key, value):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("text,kind", [("[1,2]", "list"), ("3", "int"), ('"N"', "str")])
+def test_exit_code_on_a_state_file_that_is_not_an_object(tmp_path, text, kind):
+    bad = tmp_path / "top.json"
+    bad.write_text(text)
+    r = run_cli("spectrum", "--input", str(bad))
+    assert r.returncode == 2
+    assert r.stderr == f"error: malformed state JSON: expected a JSON object, got {kind}\n"
+    assert r.stdout == ""
+
+
 def test_exit_code_on_oversized_json_integer(tmp_path):
     # json.loads refuses an integer past the int-string limit (4300 digits)
     bad = tmp_path / "big.json"

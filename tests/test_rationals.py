@@ -60,12 +60,16 @@ def test_as_q_accepts_fractions():
 # ---------------------------------------------------------------------------
 
 _BIG = st.integers(4000, 4100).flatmap(lambda n: st.integers(2 ** (n - 1), 2**n - 1))
+#: multiples of 2000+-bit factors that independent draws share, so the
+#: gcds the operators take of two operands' parts are large
+_FACTORS = (3**1300, 5**900, 3**1300 * 5**900)
+_SHARED = st.builds(operator.mul, st.sampled_from(_FACTORS), st.integers(1, 2**64))
 _ints = st.one_of(
     st.sampled_from((0, 1, -1)),
     st.integers(-50, 50),
-    st.tuples(_BIG, st.sampled_from((1, -1))).map(lambda t: t[0] * t[1]),
+    st.tuples(st.one_of(_BIG, _SHARED), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1]),
 )
-_dens = st.one_of(st.sampled_from((1, 2)), st.integers(1, 50), _BIG)
+_dens = st.one_of(st.sampled_from((1, 2)), st.integers(1, 50), _BIG, _SHARED)
 _lean = st.builds(LeanFraction, _ints, _dens)
 #: every kind of operand the package or a caller may mix with a rational
 _operands = st.one_of(

@@ -2,12 +2,14 @@ import inspect
 import math
 import random
 import typing
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdtoda
+from pdtoda import rationals, toda
 from pdtoda.errors import DegenerateEvolutionError, PdTodaError, StateValidationError
 from pdtoda.rationals import ONE, Q
 from pdtoda.toda import (
@@ -235,6 +237,39 @@ def test_conserved_products_examples():
     assert conserved_products(TodaState(N=1, M=1, V=(1,), I=((2,),))) == (1, 2)
     s = TodaState(N=2, M=2, V=(1, 1), I=((2, 3), (3, 2)))
     assert conserved_products(s) == (1, 6, 6)
+
+
+@pytest.mark.parametrize("V,I,want", [
+    ((1, 2), ((3, 4),), (Q(1), Q(2), Q(3), Q(4))),
+    (("1/2", "2/3"), (("3", "-4/6"),), (Q(1, 2), Q(2, 3), Q(3), Q(-2, 3))),
+    ((Fraction(1, 2), Fraction(4, 6)), ((Fraction(3), 4),), (Q(1, 2), Q(2, 3), Q(3), Q(4))),
+    ([1, "1/3"], [[Fraction(3, 1), "4"]], (Q(1), Q(1, 3), Q(3), Q(4))),
+], ids=["ints", "strings", "fractions", "lists"])
+def test_state_coerces_its_entries_to_tuples_of_q(V, I, want):
+    s = TodaState(N=2, M=1, V=V, I=I)
+    assert type(s.V) is tuple and type(s.I) is tuple and type(s.I[0]) is tuple
+    assert all(type(x) is Q for x in (*s.V, *s.I[0]))
+    assert (*s.V, *s.I[0]) == want
+
+
+@pytest.mark.parametrize("V,I", [((1,), ((3, 4),)), ((1, 2), ((3,),)), ((1, 2), ((3, 4), (5, 6)))],
+                         ids=["short-V", "short-I-row", "extra-I-row"])
+def test_state_rejects_wrong_lengths(V, I):
+    with pytest.raises(PdTodaError):
+        TodaState(N=2, M=1, V=V, I=I)
+
+
+def test_state_keeps_q_entries_as_the_same_objects(count_calls):
+    calls = count_calls([(rationals, "as_q")], also=(toda,))
+    V = (Q(1, 2), Q(2, 3))
+    I = ((Q(3), Q(4, 5)), (Q(7, 2), Q(1)))
+    s = TodaState(N=2, M=2, V=V, I=I)
+    assert all(a is b for a, b in zip(s.V, V))
+    assert all(a is b for row, orig in zip(s.I, I) for a, b in zip(row, orig))
+    # entries that are Q already are not coerced again
+    assert calls == {}
+    TodaState(N=2, M=2, V=(1, 2), I=I)
+    assert calls == {"as_q": 2}
 
 
 def test_json_roundtrip_lossless():

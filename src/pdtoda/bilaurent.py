@@ -8,7 +8,7 @@ coefficients, so equality is plain dict equality.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 from .errors import PdTodaError
@@ -56,7 +56,8 @@ class BiLaurent:
         if _clean:
             clean = {}
             for (i, j), c in terms.items():
-                q = as_q(c)
+                # a value that is Q already stays the same object
+                q = c if type(c) is Q else as_q(c)
                 if q != 0:
                     if i < 0:
                         raise PdTodaError("negative x-degree is not representable")
@@ -73,8 +74,7 @@ class BiLaurent:
 
     @classmethod
     def const(cls, c) -> "BiLaurent":
-        q = as_q(c)
-        return cls({(0, 0): q} if q != 0 else {})
+        return cls.term(c, 0, 0)
 
     @classmethod
     def one(cls) -> "BiLaurent":
@@ -90,7 +90,7 @@ class BiLaurent:
 
     @classmethod
     def term(cls, c, i: int, j: int) -> "BiLaurent":
-        q = as_q(c)
+        q = c if type(c) is Q else as_q(c)
         return cls({(i, j): q} if q != 0 else {})
 
     @classmethod
@@ -228,27 +228,24 @@ def integral_multiple(p: BiLaurent) -> BiLaurent:
 
 def newton_interior(p: BiLaurent) -> int:
     """Number of integer lattice points strictly inside the convex hull of
-    the exponent support (y-degrees shifted to be >= 0 first).
+    the exponent support.
 
-    The count is by brute-force scan of the bounding box, with exact
-    integer cross-product tests; degenerate hulls (point or segment)
-    contain no interior points.
+    By Pick's theorem a lattice polygon of area A with B lattice points on
+    its boundary has I = (2A - B + 2) / 2 interior points.  2A is the
+    shoelace sum over the hull edges and B the sum of gcd(|dx|, |dy|) over
+    them, all exact integers.  A degenerate hull (a point or a segment)
+    has no interior points.
     """
     if p.is_zero():
         raise PdTodaError("newton_interior requires a nonzero polynomial")
-    shift = -min(0, p.y_min())
-    pts = sorted({(i, j + shift) for (i, j) in p.terms})
-    hull = _convex_hull(pts)
+    hull = _convex_hull(p.terms)
     if len(hull) < 3:
         return 0
-    xs = [px for px, _ in hull]
-    ys = [py for _, py in hull]
-    count = 0
-    for gx in range(min(xs) + 1, max(xs)):
-        for gy in range(min(ys) + 1, max(ys)):
-            if _strictly_inside((gx, gy), hull):
-                count += 1
-    return count
+    twice_area = boundary = 0
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += ax * by - bx * ay
+        boundary += gcd(bx - ax, by - ay)
+    return (twice_area - boundary + 2) // 2
 
 
 def _convex_hull(points):
@@ -272,12 +269,3 @@ def _convex_hull(points):
         upper.append(q)
     return lower[:-1] + upper[:-1]
 
-
-def _strictly_inside(point, hull) -> bool:
-    n = len(hull)
-    for k in range(n):
-        ax, ay = hull[k]
-        bx, by = hull[(k + 1) % n]
-        if (bx - ax) * (point[1] - ay) - (by - ay) * (point[0] - ax) <= 0:
-            return False
-    return True

@@ -93,14 +93,10 @@ def operators(state: TodaState, variants) -> dict:
 def shift_conjugation_matrix(N: int) -> LaurentMatrix:
     """The cyclic-shift conjugator C with C v = (v_N / y, v_1, ..., v_(N-1)):
     building X from the down-shifted state equals C X C^-1."""
-    def fill(i, j):
-        if i == 1 and j == N:
-            return BiLaurent.y(-1)
-        if i >= 2 and j == i - 1:
-            return BiLaurent.one()
-        return BiLaurent.zero()
-
-    return LaurentMatrix.build(N, N, fill)
+    rows = [[BiLaurent.one() if j == i - 1 else BiLaurent.zero() for j in range(N)]
+            for i in range(N)]
+    rows[0][N - 1] = BiLaurent.y(-1)
+    return LaurentMatrix(rows)
 
 
 def _normalized(p: UniPoly) -> UniPoly:

@@ -54,7 +54,7 @@ oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bilaurent import BiLaurent, mul_add
 from .errors import DimensionError, PdTodaError
@@ -67,19 +67,14 @@ class LaurentMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = []
-        width = None
-        for row in entries:
-            cells = tuple(c if isinstance(c, BiLaurent) else BiLaurent.const(c) for c in row)
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DimensionError("ragged rows")
-            rows.append(cells)
-        if not rows or width == 0:
+    def __init__(self, entries: Sequence[Sequence[BiLaurent]]):
+        rows = tuple(map(tuple, entries))
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise DimensionError("ragged rows")
+        if not width:
             raise DimensionError("empty matrix")
-        self.entries = tuple(rows)
+        self.entries = rows
         self.rows = len(rows)
         self.cols = width
 
@@ -88,11 +83,6 @@ class LaurentMatrix:
         return cls(
             [[BiLaurent.one() if i == j else BiLaurent.zero() for j in range(n)] for i in range(n)]
         )
-
-    @classmethod
-    def build(cls, rows: int, cols: int, fill: Callable[[int, int], BiLaurent]) -> "LaurentMatrix":
-        """Construct from a 1-based entry function."""
-        return cls([[fill(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
 
     def entry(self, i: int, j: int) -> BiLaurent:
         """1-based access."""
@@ -318,18 +308,15 @@ def resultant_y(p: BiLaurent, q: BiLaurent) -> UniPoly:
     division is exact, as the quotient is the integer Syl(P, Q), and it is
     checked.  Where lead P vanishes, Syl(P, Q) = (-1)^(dp dq) Syl(Q, P) is
     reduced modulo Q instead, and a sample where both leads vanish is
-    zero.  P's cleared coefficients and their values at the samples are
-    kept for the next call with the same ``p`` object.
+    zero.  A y-degree 0 takes the same path: the reduced block is q_0
+    times the identity at dq = 0, ``_int_resultant`` returns p_0^dq at
+    dp = 0, and at dp = dq = 0 the bound is 0 and the one sample is 1.
+    P's cleared coefficients and their values at the samples are kept for
+    the next call with the same ``p`` object.
     """
     _, pi, dp_den, p_degrees, p_values = _cleared_p(p)
     qc = _y_poly(q)
     dp, dq = len(pi) - 1, len(qc) - 1
-    if dp == 0 and dq == 0:
-        return UniPoly.one()
-    if dq == 0:
-        return qc[0] ** dp
-    if dp == 0:
-        return _y_poly(p)[0] ** dq
     qi, dq_den = cleared(qc)
     q_degrees = [len(c) - 1 if c else None for c in qi]
     bound = _degree_bound(tuple(map(tuple, _sylvester(p_degrees, q_degrees, None))))

@@ -30,8 +30,9 @@ duplication (Carlson, Numer. Algorithms 10 (1995) 13; DLMF 19.36.1).
 The validated objects:
 
 * periods A = -2i I(e1, e2) and B = 2 I(e2, e3), normalized differential
-  omega = dx / (A w), modulus tau = +-B/A with Im tau > 0; the loop around
-  the other cut gives I(e3, e4) = I(e1, e2), the period consistency;
+  omega = dx / (A w), modulus tau = B/A = i I(e2, e3) / I(e1, e2) with
+  Im tau > 0; the loop around the other cut gives I(e3, e4) = I(e1, e2),
+  the period consistency;
 * the Abel map A(p) = int_{e1}^{p} omega along the real axis from above,
   reduced mod Z + tau Z, with the hyperelliptic involution giving
   A((x, -w)) = -A((x, w)); for P the ray left of e1 gives
@@ -318,9 +319,6 @@ def elliptic_model(state: TodaState) -> EllipticModel:
     a_per = -2j * interval_integral(es, es[0], es[1])
     b_per = complex(2 * interval_integral(es, es[1], es[2]))
     tau = b_per / a_per
-    if tau.imag < 0:
-        b_per = -b_per
-        tau = -tau
     if tau.imag <= 0:
         raise NumericFailureError("failed to orient the period lattice")
     return EllipticModel(prods=prods, q=q, c=c, f=f, branch=es,
@@ -363,9 +361,6 @@ class ThetaContext:
     time_mode: str          # which fiber point over x=0 drives the step
     time_sign: int          # orientation of nu_step vs A(point - Q)
     c0: complex             # A(Q) - A(D_0) - K (the t = 0 calibration)
-    c_res: complex          # Res_P(x omega)
-    cprime_res: complex     # Res_Q(x omega)
-    a_integral: complex     # oint_a x omega
     abel_A1: complex        # A((0, prod I))
     abel_AV: complex        # A((0, prod V))
     abel_D0: complex
@@ -420,10 +415,6 @@ def theta_context(state: TodaState) -> ThetaContext:
             f"divisor track increment does not match any +-A(fiber - Q): {dist:.2e}"
         )
 
-    c_res = model.residue_at_infinity(+1)
-    cprime_res = model.residue_at_infinity(-1)
-    a_integral = model.a_cycle_x_integral()
-
     c0 = abel_Q - abel_D0 - K
     return ThetaContext(
         model=model,
@@ -432,9 +423,6 @@ def theta_context(state: TodaState) -> ThetaContext:
         time_mode=time_mode,
         time_sign=time_sign,
         c0=c0,
-        c_res=c_res,
-        cprime_res=cprime_res,
-        a_integral=a_integral,
         abel_A1=abel_A1,
         abel_AV=abel_AV,
         abel_D0=abel_D0,
@@ -450,8 +438,10 @@ def predicted_divisor_x(ctx: ThetaContext, n: int, t: int) -> complex:
     z_Q = c_0 - n A(P-Q) - t nu_step and z_P = z_Q + A(P-Q)."""
     zQ = ctx.c0 - n * ctx.k_vec - t * ctx.nu_step
     zP = zQ + ctx.k_vec
-    tau = ctx.model.tau
-    return ctx.a_integral - ctx.c_res * theta_dlog(zP, tau) - ctx.cprime_res * theta_dlog(zQ, tau)
+    model = ctx.model
+    tau = model.tau
+    return (model.a_cycle_x_integral() - model.residue_at_infinity(+1) * theta_dlog(zP, tau)
+            - model.residue_at_infinity(-1) * theta_dlog(zQ, tau))
 
 
 def theta_check(state: TodaState, steps: int = 10, tol: float = 1e-6) -> dict:

@@ -624,7 +624,7 @@ def _common_zero(rng, ck):
 
 @check("smoothness-probe", "divisor")
 def _smooth(rng, ck):
-    s = random_state(2, 1, rng, generic=lambda st: st.i(1) * st.i(2) != st.v(1) * st.v(2))
+    s = random_state(2, 1, rng)
     ck.eq("generic curve likely smooth", s, smoothness_probe(spectral_data(s))["likely_smooth"], True)
     planted = TodaState(N=2, M=1, V=(Q(1), Q(1)), I=((Q(2), Q(2)),))
     probe = smoothness_probe(spectral_data(planted))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pdtoda.bilaurent import BiLaurent, mul_add, newton_interior
+from pdtoda.bilaurent import BiLaurent, _convex_hull, mul_add, newton_interior
 from pdtoda.divisor import rel_eval
 from pdtoda.errors import PdTodaError
 from pdtoda.rationals import Q, as_q
@@ -97,3 +97,50 @@ def test_newton_interior_matches_genus_for_3_1():
 def test_degenerate_hulls_have_no_interior():
     segment = BiLaurent({(0, 0): 1, (3, 0): 1, (1, 0): 1})
     assert newton_interior(segment) == 0
+
+
+def _interior_by_scan(points):
+    """Lattice points strictly inside the convex hull of ``points``, by a
+    scan of the hull's bounding box with exact cross-product tests."""
+    hull = _convex_hull(points)
+    if len(hull) < 3:
+        return 0
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    xs = [px for px, _ in hull]
+    ys = [py for _, py in hull]
+    return sum(
+        all((bx - ax) * (gy - ay) - (by - ay) * (gx - ax) > 0 for (ax, ay), (bx, by) in edges)
+        for gx in range(min(xs) + 1, max(xs))
+        for gy in range(min(ys) + 1, max(ys))
+    )
+
+
+def test_newton_interior_matches_a_scan_of_the_hull():
+    # Pick's theorem against the bounding-box scan, on random supports:
+    # single points, segments (collinear supports) and polygons, with
+    # negative y-degrees
+    rng = random.Random(53)
+    kinds = {"point": 0, "segment": 0, "polygon": 0}
+    for _ in range(300):
+        shape = rng.choice(("point", "segment", "polygon", "polygon"))
+        if shape == "point":
+            pts = [(rng.randint(0, 9), rng.randint(-5, 5))]
+        elif shape == "segment":
+            x0, y0 = rng.randint(0, 4), rng.randint(-5, 5)
+            dx, dy = rng.randint(0, 3), rng.randint(-3, 3)
+            pts = [(x0 + k * dx, y0 + k * dy) for k in range(rng.randint(2, 4))]
+        else:
+            pts = [(rng.randint(0, 9), rng.randint(-5, 5)) for _ in range(rng.randint(3, 9))]
+        kinds[shape] += 1
+        p = BiLaurent({e: 1 for e in pts})
+        want = _interior_by_scan(pts)
+        assert newton_interior(p) == want, pts
+    assert min(kinds.values()) > 50
+
+
+def test_q_coefficients_are_kept_as_they_are():
+    # a coefficient that is Q already is stored as the same object
+    c = Q(3, 7)
+    assert BiLaurent({(1, 2): c}).terms[(1, 2)] is c
+    assert BiLaurent.term(c, 1, 2).terms[(1, 2)] is c
+    assert BiLaurent.term(2, 0, 0).terms[(0, 0)] == Q(2)

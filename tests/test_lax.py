@@ -250,14 +250,6 @@ def test_time_step_matrix_closed_substitutions():
         assert vals[j - 1] == UniPoly.const(-params.a(j - 1, j))
 
 
-@pytest.mark.parametrize("N,M", [(3, 1), (4, 2), (5, 3), (2, 1), (4, 3)])
-def test_time_step_det_identity(N, M):
-    rng = random.Random(45 + N * 10 + M)
-    for _ in range(3):
-        s = random_state(N, M, rng)
-        verify.time_step_det(Comparer(), s)
-
-
 def test_single_site_multilayer_spectrum():
     # N=1 with several layers: the transfer matrix is scalar and the
     # spectrum still freezes under the evolution

@@ -366,3 +366,23 @@ def test_integer_resultant_degree_edges_with_large_denominators(dp, dq):
 
     p, q = draw(dp), draw(dq)
     assert resultant_y(p, q) == resultant_y_direct(p, q)
+
+
+@pytest.mark.parametrize("dp, dq", [(0, 0)] + [(0, k) for k in (1, 2, 3)] + [(k, 0) for k in (1, 2, 3)])
+def test_resultant_at_y_degree_zero_matches_direct(dp, dq):
+    # a y-degree 0 takes the general path: the reduced block is q_0 times
+    # the identity at dq = 0, _int_resultant returns p_0^dq at dp = 0, and
+    # at dp = dq = 0 one sample of value 1 is taken.  Small coefficients
+    # make leads vanish at some samples, which swaps the roles of P and Q
+    rng = random.Random(60 + 10 * dp + dq)
+
+    def draw(deg):
+        while True:
+            coeffs = [UniPoly([Q(rng.randint(-3, 3), rng.randint(1, 4))
+                               for _ in range(rng.randint(1, 4))]) for _ in range(deg + 1)]
+            if not coeffs[-1].is_zero():
+                return _poly_in_y(coeffs)
+
+    for _ in range(25):
+        p, q = draw(dp), draw(dq)
+        assert resultant_y(p, q) == resultant_y_direct(p, q)

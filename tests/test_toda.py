@@ -310,11 +310,6 @@ def test_random_state_deterministic_and_bounded():
     assert validate(a).ok
 
 
-def test_random_state_generic_retry_bound():
-    with pytest.raises(PdTodaError):
-        random_state(2, 1, random.Random(1), generic=lambda s: False)
-
-
 @given(
     st.integers(1, 4),
     st.integers(1, 3),

@@ -168,8 +168,8 @@ def _minor_table(rows) -> dict:
 
     The minors over rows 0..k-1 are built bottom up; O(2^n) subproblems
     instead of n! cofactor paths.  Partial minors are raw term dicts
-    accumulated by ``mul_add``; a minor that cancels to nothing is dropped
-    from the table.
+    accumulated by ``mul_add``; a minor that cancels to nothing stays in
+    the table as an empty dict, which adds nothing to the next row.
     """
     current = {0: {(0, 0): ONE}}
     for row in rows:
@@ -178,8 +178,6 @@ def _minor_table(rows) -> dict:
                   for a in row]
         nxt = {}
         for mask, sub in current.items():
-            if not sub:
-                continue
             # walking columns from the top keeps `parity` equal to the
             # number of already-used columns above j: the inversions the
             # permutation gains by placing this row in column j
@@ -197,8 +195,6 @@ def _minor_table(rows) -> dict:
                         acc = nxt[key] = {}
                     mul_add(acc, a[parity], sub)
         current = nxt
-        if not current:
-            break
     return current
 
 

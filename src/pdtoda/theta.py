@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,12 +199,6 @@ class EllipticModel:
     a_period: complex
     b_period: complex
     tau: complex
-    _qc: list = field(init=False, repr=False)
-    _fc: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._qc = [complex(c) for c in self.q.coeffs]
-        self._fc = [complex(c) for c in self.f.coeffs]
 
     # -- lattice helpers -------------------------------------------------
 
@@ -230,10 +224,10 @@ class EllipticModel:
     # -- curve geometry --------------------------------------------------
 
     def w_from_y(self, x: complex, y: complex) -> complex:
-        return 2 * y - horner(self._qc, x)
+        return 2 * y - horner([complex(c) for c in self.q.coeffs], x)
 
     def fval(self, x: complex) -> complex:
-        return horner(self._fc, x)
+        return horner([complex(c) for c in self.f.coeffs], x)
 
     # -- Abel map ----------------------------------------------------------
 

@@ -6,13 +6,13 @@ the zero polynomial.  :func:`horner` is the one univariate evaluator: it
 is exact on integer and rational coefficients and points, and
 floating-point on float and complex ones.  Everything else is exact except
 :func:`roots_numeric` and its check :func:`root_residual`, the deliberately
-floating-point routines.  The gcd takes one big-integer gcd and a degree
-bound modulo one word-size prime, and certifies its result exactly in Z[x].
+floating-point routines.  The gcd takes one big-integer gcd at a point
+beyond a root bound of its inputs, where exact trial division in Z[x]
+certifies the result.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from math import gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
@@ -195,31 +195,31 @@ class UniPoly:
 def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic exact gcd over the rationals, by the heuristic gcd (GCDHEU) of
     Char, Geddes and Gonnet (J. Symbolic Comput. 7 (1989) 31), certified
-    in Z[x].
+    in Z[x] by a root bound.
 
     Both arguments are replaced by their primitive integer images a and b;
     their gcd G in Z[x], primitive with a positive lead, is the wanted gcd
-    up to its lead.  The degree bound d is deg gcd(a mod l, b mod l) for
-    the first prime l of :func:`_prime` that does not divide
-    lead(a) lead(b); d = 0 certifies coprimality.  At xi = 2**k, with
-    k = min(height a, height b) // 2 + 32 bits, one integer gcd
-    gamma = gcd(a(xi), b(xi)) is taken, and the symmetric base-xi digits
-    of gamma, made primitive with a positive lead, are the candidate h.
-    h is accepted only when deg h = d and h divides both a and b exactly.
-    An h that divides both with deg h < d lowers d by the next admissible
-    prime (l was unlucky, or h is a proper factor of G); any other h, and
-    gamma = 0 (xi is a common root), doubles k.
+    up to its lead.  At xi = 2**k, with k the larger of
+    min(height a, height b) // 2 + 32 bits and min(_root_bits(a),
+    _root_bits(b)), so that xi >= 2 rho + 2 for a bound rho on the roots
+    of a or of b, one integer gcd gamma = gcd(a(xi), b(xi)) is taken, and
+    the symmetric base-xi digits of gamma, made primitive with a positive
+    lead, are the candidate h.  h is accepted as soon as it divides both a
+    and b exactly; otherwise k doubles.
 
-    Correctness: h divides a and b, so h divides G.  l divides neither
-    lead, so G mod l keeps its degree and divides gcd(a mod l, b mod l):
-    d >= deg G.  With deg h = d, h = G up to a unit, and the positive
-    lead fixes the sign.
+    Correctness: h divides a and b, so G = h c with c in Z[x]; write
+    a = G u and b = G v.  The digits lie in [-xi/2, xi/2), so the digit
+    polynomial D has 0 < cont D <= xi/2, and gamma = D(xi) = cont(D) h(xi).
+    Also gamma = |G(xi)| gcd(u(xi), v(xi)), hence |c(xi)| <= cont D <= xi/2.
+    Every root of c is a root of both a and b, of modulus <= rho; so if
+    deg c >= 1, |c(xi)| >= xi - rho >= xi/2 + 1.  Hence c = +-1, and the
+    positive leads give h = G.  xi also exceeds every root of a or of b,
+    so gamma is never 0.
 
-    Termination: gamma = |c G(xi)| with c = gcd((a/G)(xi), (b/G)(xi)),
-    and c divides res(a/G, b/G), a nonzero integer since the cofactors are
-    coprime.  Once xi > 2 |c| max|G_i|, the symmetric digits of gamma are
-    the coefficients of +-c G, so h = G; and only the finitely many primes
-    that divide one fixed nonzero integer leave d above deg G.
+    Termination: gamma = |c' G(xi)| with c' = gcd(u(xi), v(xi)), and c'
+    divides res(u, v), a nonzero integer since the cofactors are coprime.
+    Once xi > 2 |c'| max|G_i|, the symmetric digits of gamma are the
+    coefficients of c' G, so h = G.
     """
     if p.is_zero() and q.is_zero():
         raise PdTodaError("gcd(0, 0) is undefined")
@@ -229,21 +229,11 @@ def gcd_monic(p: UniPoly, q: UniPoly) -> UniPoly:
         return UniPoly.one()
     a = _primitive(cleared([p])[0][0])
     b = _primitive(cleared([q])[0][0])
-    leads = a[-1] * b[-1]
-    primes = (ell for ell in map(_prime, count()) if leads % ell)
-    bound = _gcd_degree_mod(a, b, next(primes))
-    if bound == 0:
-        return UniPoly.one()
-    k = min(_height(a), _height(b)) // 2 + 32
+    k = max(min(_height(a), _height(b)) // 2 + 32, min(_root_bits(a), _root_bits(b)))
     while True:
-        gamma = gcd(_eval_pow2(a, k), _eval_pow2(b, k))
-        if gamma:
-            h = _primitive(_digits(gamma, k))
-            if len(h) - 1 <= bound and _divides_int(h, a) and _divides_int(h, b):
-                if len(h) - 1 < bound:
-                    bound = min(bound, _gcd_degree_mod(a, b, next(primes)))
-                if len(h) - 1 == bound:
-                    return UniPoly(Q(c, h[-1]) for c in h)
+        h = _primitive(_digits(gcd(_eval_pow2(a, k), _eval_pow2(b, k)), k))
+        if _divides_int(h, a) and _divides_int(h, b):
+            return UniPoly(Q(c, h[-1]) for c in h)
         k *= 2
 
 
@@ -257,47 +247,6 @@ def gcd_monic_euclid(p: UniPoly, q: UniPoly) -> UniPoly:
         _, r = a.divmod(b)
         a, b = b, r
     return a.monic()
-
-
-#: primes below 2**62 in descending order, extended on demand by _prime
-_PRIMES: list = []
-#: Miller-Rabin bases that decide primality of every n < 3.3e24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(index: int) -> int:
-    """The index-th prime below 2**62, counting down; the table is built
-    lazily so that importing the module costs nothing."""
-    while len(_PRIMES) <= index:
-        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-        while not _is_prime(n):
-            n -= 2
-        _PRIMES.append(n)
-    return _PRIMES[index]
 
 
 def cleared(polys: Sequence) -> tuple:
@@ -320,42 +269,26 @@ def _primitive(ints: list) -> list:
     return [c // content for c in ints]
 
 
-def _gcd_mod(a: list, b: list, prime: int) -> list:
-    """Monic gcd of two nonzero coefficient lists (lowest degree first)
-    modulo a prime; the inputs' trailing zeros mod the prime are
-    trimmed first."""
-    a, b = _trim(a), _trim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        inv = pow(b[-1], -1, prime)
-        db = len(b) - 1
-        r = a[:]
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k] * inv % prime
-            if c:
-                off = k - db
-                for j in range(db):
-                    r[off + j] = (r[off + j] - c * b[j]) % prime
-        a, b = b, _trim(r[:db])
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
-
-
-def _trim(cs: list) -> list:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _gcd_degree_mod(a: list, b: list, prime: int) -> int:
-    """Degree of gcd(a mod prime, b mod prime)."""
-    return len(_gcd_mod([c % prime for c in a], [c % prime for c in b], prime)) - 1
-
-
 def _height(cs: list) -> int:
     """Bit length of the largest coefficient."""
     return max(abs(c) for c in cs).bit_length()
+
+
+def _root_bits(cs: list) -> int:
+    """A k with 2**k >= 2 rho + 2, where rho bounds the modulus of every
+    complex root of the integer polynomial cs (lowest degree first, degree
+    at least 1).
+
+    Fujiwara's bound (Tohoku Math. J. 10 (1916) 167) gives
+    rho <= 2 max_i |c_(n-i) / c_n| ** (1/i).  With L the bit length, each
+    ratio is below 2 ** (L(c_(n-i)) - L(c_n) + 1), so rho <= 2 ** (e + 1)
+    for e = max(0, max_i ceil((L(c_(n-i)) - L(c_n) + 1) / i)), and
+    2 rho + 2 <= 2 ** (e + 3).
+    """
+    n, top = len(cs) - 1, cs[-1].bit_length() - 1
+    # the coefficient of degree j has i = n - j; -((top - L) // i) is the
+    # ceiling of (L - top) / i, and L - top = L(c_(n-i)) - L(c_n) + 1
+    return 3 + max([0] + [-((top - c.bit_length()) // (n - i)) for i, c in enumerate(cs[:-1])])
 
 
 def _eval_pow2(cs: list, k: int) -> int:

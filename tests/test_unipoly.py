@@ -1,14 +1,15 @@
 import random
-import subprocess
-import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdtoda import unipoly
+from pdtoda import divisor, unipoly
+from pdtoda.divisor import track_divisor
 from pdtoda.errors import PdTodaError
 from pdtoda.rationals import Q
+from pdtoda.toda import random_state
 from pdtoda.unipoly import (
     UniPoly,
     gcd_monic,
@@ -169,26 +170,25 @@ def test_gcd_degenerate_arguments_match_euclid(p, q):
 
 
 def test_gcd_skips_prime_dividing_both_leads():
+    # a word-size prime dividing both leads: the common factor is tall at
+    # the top and short at the bottom
     x = UniPoly.x()
-    ell = unipoly._prime(0)
-    # the common factor vanishes mod the first prime except for its constant
+    ell = 2**62 - 57
     p = (ell * x + 1) * (x - 2)
     q = (ell * x + 1) * (x + 3)
     assert gcd_monic(p, q) == x + Q(1, ell) == gcd_monic_euclid(p, q)
-    # only one lead divisible: the prime is kept, the degree drop is harmless
+    # only one lead divisible
     r = (ell * x - 1) * (x - 2)
     assert gcd_monic(r, (x + 1) * (x - 2)) == x - 2
 
 
 def test_gcd_rejects_unlucky_primes_by_degree():
+    # inputs that agree modulo word-size primes but have a smaller gcd
     x = UniPoly.x()
-    ell0, ell1 = unipoly._prime(0), unipoly._prime(1)
-    # x - a and x - b agree mod the first prime, but are coprime
+    ell0, ell1 = 2**62 - 57, 2**62 - 87
     assert gcd_monic(x - 5, x - (5 + ell0)) == UniPoly.one()
     assert gcd_monic(x - 5, x - (5 + 3 * ell0 * ell1)) == UniPoly.one()
-    # a first prime with too high a degree is replaced by a later one ...
     assert gcd_monic((x - 1) * (x - 5), (x - 1) * (x - 5 - ell0)) == x - 1
-    # ... and a later prime with too high a degree is skipped
     assert gcd_monic((x - 1) * (x - 5), (x - 1) * (x - 5 - ell1)) == x - 1
 
 
@@ -227,26 +227,73 @@ def _spy(monkeypatch, name):
 
 
 def test_gcd_doubles_the_evaluation_point_for_a_tall_factor(monkeypatch):
-    # a 200-bit factor over tiny cofactors: the first xi = 2**(200 // 2 + 32)
-    # is below the factor's height, so its digits are wrong and rejected
+    # (x - 1)**80 has 77-bit coefficients but small roots: the first
+    # xi = 2**(78 // 2 + 32) is below twice its height, so its digits are
+    # wrong and rejected, and only the height makes xi grow
     divides = _spy(monkeypatch, "_divides_int")
-    rng = random.Random(11)
+    values = _spy(monkeypatch, "_eval_pow2")
     x = UniPoly.x()
-    h = x * x + rng.getrandbits(200) * x - rng.getrandbits(200)
-    got = gcd_monic(h * (x - 1), h * (x + 1))
-    assert got == h == gcd_monic_euclid(h * (x - 1), h * (x + 1))
+    h = (x - 1) ** 80
+    p, q = h * (x - 2), h * (x + 3)
+    assert gcd_monic(p, q) == h == gcd_monic_euclid(p, q)
     assert len(divides) > 2 and not divides[0]
+    assert len(values) > 2
 
 
 def test_gcd_skips_a_common_root_at_the_evaluation_point(monkeypatch):
-    # both inputs have height 65 bits, so the first xi is 2**(65 // 2 + 32),
-    # a common root: gcd(a(xi), b(xi)) = 0 and xi must move on
+    # the heights alone give xi = 2**66, where gcd(xi - 2, xi + 3) = 1 and
+    # the constant candidate divides both inputs; the root bound puts xi
+    # beyond the common root, so no evaluation is 0 and the gcd is found
     values = _spy(monkeypatch, "_eval_pow2")
     x = UniPoly.x()
-    root = 2**64
-    p, q = (x - root) * (x - 1), (x - root) * (x + 1)
+    root = 2**66 + 1
+    p, q = (x - root) * (x - 2), (x - root) * (x + 3)
     assert gcd_monic(p, q) == x - root == gcd_monic_euclid(p, q)
-    assert values[:2] == [0, 0] and len(values) > 2
+    assert 0 not in values
+
+
+def _fujiwara_extremal(n, m):
+    """x**n - sum_i lam**i x**(n-i) - 2 lam**n with lam = 2**m, which has
+    the root 2 lam: Fujiwara's bound is attained there."""
+    lam = 2**m
+    return [-2 * lam**n] + [-(lam ** (n - j)) for j in range(1, n)] + [1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_root_bits_bounds_twice_every_root_plus_two(seed):
+    rng = random.Random(seed)
+    polys = [_fujiwara_extremal(n, m) for n in range(2, 9) for m in (0, 5, 30)]
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        cs = [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 300)) for _ in range(n)]
+        lead = rng.choice((1, 2**299 + rng.getrandbits(299), rng.getrandbits(rng.randint(1, 300)) or 1))
+        polys.append(cs + [rng.choice((1, -1)) * lead])
+    for cs in polys:
+        k = unipoly._root_bits(cs)
+        rho = max(abs(z) for z in np.roots([float(c) for c in reversed(cs)]))
+        assert 2.0**k >= (2 * rho + 2) * (1 - 1e-9), (cs, k, rho)
+
+
+def test_gcd_evaluates_each_workload_input_at_one_point(monkeypatch, count_calls):
+    # ten-step tracks of the first (4,2), (5,2) and (4,3) states of
+    # random.Random(0): every gcd evaluates a and b once, at the xi that the
+    # heights alone choose, so the root bound never raises k there and every
+    # first candidate is accepted
+    calls = count_calls([(unipoly, "gcd_monic")], also=(divisor,))
+    points = []
+    original = unipoly._eval_pow2
+
+    def spy(cs, k):
+        points.append((unipoly._height(cs), k))
+        return original(cs, k)
+
+    monkeypatch.setattr(unipoly, "_eval_pow2", spy)
+    rng = random.Random(0)
+    for N, M in ((4, 2), (5, 2), (4, 3)):
+        track_divisor(random_state(N, M, rng), 10)
+    assert calls["gcd_monic"] == 33 and len(points) == 2 * 33
+    for (height_a, k), (height_b, k_b) in zip(points[::2], points[1::2]):
+        assert k == k_b == min(height_a, height_b) // 2 + 32
 
 
 # nonzero integers of exactly 200 to 2000 bits, either sign
@@ -265,41 +312,6 @@ def test_gcd_matches_euclid_on_tall_coefficients(p, q, h):
     if a.is_zero() and b.is_zero():
         return
     assert gcd_monic(a, b) == gcd_monic_euclid(a, b)
-
-
-def _miller_rabin(n):
-    # deterministic for n < 3.3e24 with the first twelve prime bases
-    if n % 2 == 0:
-        return n == 2
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_prime_table_entries_are_62_bit_primes():
-    primes = [unipoly._prime(i) for i in range(64)]
-    assert all(2**61 < p < 2**62 and _miller_rabin(p) for p in primes)
-    assert primes == sorted(set(primes), reverse=True)
-    # consecutive: no prime is skipped between the first few entries
-    for hi, lo in zip(primes[:4], primes[1:5]):
-        assert not any(_miller_rabin(n) for n in range(lo + 2, hi, 2))
-
-
-def test_prime_table_is_not_built_at_import():
-    code = "import pdtoda, pdtoda.unipoly as u; print(len(u._PRIMES))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
